@@ -7,15 +7,18 @@
 2. **Magic-set specialization** (Thm 5.8's device): for a left-linear
    chain program with a bound source, unary IDBs shrink the grounding
    from Θ(n·m) to O(m) -- measured head-to-head on the same inputs.
-3. **Indexed vs naive join engine** (DESIGN.md §5): the same relevant
-   grounding computed by both engines, compared on the instrumented
-   join-probe counter (``GROUNDING_STATS``).  The indexed engine must
-   probe at least 2× fewer rows at every sweep size.
+3. **Production grounder vs the naive oracle** (DESIGN.md §5): the
+   same relevant grounding computed by the id-space grounder and by
+   the oracle's nested-loop grounder (``repro.testing.oracle``),
+   compared on the instrumented join-probe counter
+   (``GROUNDING_STATS``).  The production grounder must probe at
+   least 2× fewer rows at every sweep size.
 """
 
 from conftest import run_sweep
 
 from repro.datalog import (
+    columnar_grounding,
     count_join_probes,
     full_grounding,
     magic_grounding,
@@ -23,6 +26,7 @@ from repro.datalog import (
     relevant_grounding,
     transitive_closure,
 )
+from repro.testing.oracle import naive_relevant_grounding
 from repro.workloads import random_digraph
 
 TC = transitive_closure()
@@ -50,14 +54,14 @@ def test_ablation_grounding_strategies(benchmark):
     rows = []
     for n in SWEEP:
         full, relevant, magic = groundings(n)
-        assert len(magic.rules) <= len(relevant.rules) <= len(full.rules)
+        assert len(magic) <= len(relevant) <= len(full)
         rows.append(
             dict(
                 n=n,
                 m=max(n, 4) + 1,
-                size=len(relevant.rules),
-                depth=len(magic.rules),
-                extra=f"full={len(full.rules)} relevant={len(relevant.rules)} magic={len(magic.rules)}",
+                size=len(relevant),
+                depth=len(magic),
+                extra=f"full={len(full)} relevant={len(relevant)} magic={len(magic)}",
             )
         )
     run_sweep(
@@ -68,42 +72,39 @@ def test_ablation_grounding_strategies(benchmark):
     )
     # The asymptotic separation: magic stays linear while relevant is
     # quadratic-ish and full is cubic-ish in n on these inputs.
-    first_full, first_rel, first_magic = (len(g.rules) for g in groundings(SWEEP[0]))
-    last_full, last_rel, last_magic = (len(g.rules) for g in groundings(SWEEP[-1]))
+    first_full, first_rel, first_magic = (len(g) for g in groundings(SWEEP[0]))
+    last_full, last_rel, last_magic = (len(g) for g in groundings(SWEEP[-1]))
     scale = SWEEP[-1] / SWEEP[0]
     assert last_magic / max(first_magic, 1) <= 2.5 * scale
     assert last_full / max(first_full, 1) >= last_magic / max(first_magic, 1)
     benchmark(groundings, REPRESENTATIVE)
 
 
-def test_ablation_join_engines(benchmark):
-    """Indexed vs naive engine on identical relevant groundings.
+def test_ablation_grounder_vs_oracle(benchmark):
+    """The production grounder vs the oracle on identical relevant
+    groundings.
 
-    The ISSUE 2 acceptance bar: ≥ 2× fewer join probes at every sweep
-    size, same ground rules either way (the deep equivalence is pinned
-    by ``tests/datalog/test_grounding_engines.py``).
+    The acceptance bar: ≥ 2× fewer join probes at every sweep size,
+    same ground rules either way (the deep equivalence is pinned by
+    ``tests/datalog/test_grounding_engines.py``).
     """
     rows = []
     for n in SWEEP:
         db = ablation_db(n)
-        naive_probes, naive_ground = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="naive")
-        )
-        indexed_probes, indexed_ground = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="indexed")
-        )
-        assert len(naive_ground.rules) == len(indexed_ground.rules)
+        naive_probes, naive_ground = count_join_probes(lambda: naive_relevant_grounding(TC, db))
+        probes, ground = count_join_probes(lambda: columnar_grounding(TC, db))
+        assert ground.rule_keys() == naive_ground.rule_keys()
         rows.append(
             dict(
                 n=n,
                 m=max(n, 4) + 1,
                 size=naive_probes,
-                depth=indexed_probes,
-                extra=f"probe ratio={naive_probes / max(indexed_probes, 1):.1f}x",
+                depth=probes,
+                extra=f"probe ratio={naive_probes / max(probes, 1):.1f}x",
             )
         )
     run_sweep(
-        "Ablation / join engine: naive vs indexed probes (size=naive, depth=indexed)",
+        "Ablation / grounder: naive oracle vs production probes (size=oracle, depth=production)",
         claimed_size="n^2",
         claimed_depth="n^2",
         rows=rows,
@@ -112,15 +113,11 @@ def test_ablation_join_engines(benchmark):
         assert row["size"] >= 2 * row["depth"], row
 
     # Magic-set chain program: the bound source makes every IDB join a
-    # selective lookup, the indexed engine's best case.
+    # selective lookup, the pattern indexes' best case.
     db = ablation_db(REPRESENTATIVE)
     magic = magic_specialize(TC, 0)
-    naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="naive")
-    )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
-    )
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    naive_probes, _ = count_join_probes(lambda: naive_relevant_grounding(magic, db))
+    probes, _ = count_join_probes(lambda: columnar_grounding(magic, db))
+    assert naive_probes >= 2 * probes, (naive_probes, probes)
 
-    benchmark(relevant_grounding, TC, db, engine="indexed")
+    benchmark(columnar_grounding, TC, db)

@@ -7,8 +7,8 @@ delta-join regrounding plus a monotone ascent over the touched cone, a
 retract pays DRed-style overdelete/rederive plus a restricted
 recompute of the dirty cone.  The baseline is what every prior PR did
 on a database mutation -- throw the grounding and fixpoint away and
-recompute from scratch with the fastest batch pipeline
-(``engine="columnar"``, ``strategy="columnar"``).
+recompute from scratch with the batch pipeline (``FixpointEngine``: the
+id-space grounding plus the semi-naive fixpoint).
 
 Workload: the sliding-window streaming graph of
 :func:`repro.workloads.sliding_window_stream` -- a pinned backbone
@@ -54,7 +54,7 @@ from repro.workloads import apply_event, sliding_window_stream  # noqa: E402
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 TC = transitive_closure()
-ENGINE = FixpointEngine("columnar", "columnar")
+ENGINE = FixpointEngine()
 
 # Representative scale: recompute cost grows with the whole problem
 # (every event pays a full ground + fixpoint over ~3n live edges)

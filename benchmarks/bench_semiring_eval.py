@@ -1,8 +1,9 @@
 """Cross-semiring evaluation + the array-backed representation ablation.
 
 (a) Correctness at benchmark scale: the Bellman–Ford circuit evaluated
-under Tropical/Viterbi/Boolean valuations equals naive Datalog
-evaluation (the "over any absorptive semiring" claims, measured).
+under Tropical/Viterbi/Boolean valuations equals Datalog evaluation,
+both the production fixpoint and the naive oracle (the "over any
+absorptive semiring" claims, measured).
 
 (b) Ablation (DESIGN.md §6): linear-time array evaluation vs a naive
 recursive object-graph walk over the same DAG -- the design choice
@@ -21,6 +22,7 @@ from repro.circuits import compile_circuit, evaluate, reference_evaluate_all
 from repro.constructions import bellman_ford_circuit
 from repro.datalog import Fact, naive_evaluation, transitive_closure
 from repro.semirings import BOOLEAN, TROPICAL, VITERBI
+from repro.testing.oracle import oracle_evaluation
 from repro.workloads import random_digraph, random_weights
 
 TC = transitive_closure()
@@ -67,15 +69,13 @@ def test_semiring_eval_correctness(benchmark):
         (VITERBI, {f: 0.9 for f in db.facts()}),
         (BOOLEAN, {f: True for f in db.facts()}),
     ]:
-        # Both engine strategies must agree with the circuit (and hence
-        # with each other) -- the benchmark-scale face of the
-        # naive/semi-naive equivalence tests.
-        for strategy in ("naive", "seminaive"):
-            expected = naive_evaluation(
-                TC, db, semiring, weights=valuation, strategy=strategy
-            ).value(fact)
+        # The production fixpoint and the oracle must both agree with
+        # the circuit (and hence with each other) -- the
+        # benchmark-scale face of the production-vs-oracle tests.
+        for fixpoint in (naive_evaluation, oracle_evaluation):
+            expected = fixpoint(TC, db, semiring, weights=valuation).value(fact)
             got = evaluate(circuit, semiring, valuation)
-            assert semiring.eq(got, expected), (semiring.name, strategy)
+            assert semiring.eq(got, expected), (semiring.name, fixpoint.__name__)
     benchmark(evaluate, circuit, TROPICAL, weights)
 
 

@@ -1,14 +1,14 @@
 """The ``repro.api`` facade: one front door for the whole pipeline.
 
-PRs 1-5 grew the engine bottom-up, and each layer exposed its own
-entry point: ``relevant_grounding(engine=...)``,
-``naive_evaluation(strategy=..., grounding_engine=...)``,
-``magic_grounding(columnar=...)``, ``generic_circuit(engine=...)``,
-``provenance_circuit(optimize_depth=...)``.  This module is the
-redesigned public API on top of them (DESIGN.md §10):
+Every layer runs one pipeline -- the id-space grounding
+(:func:`~repro.datalog.grounding.columnar_grounding`) feeding the
+semi-naive fixpoint or a circuit construction -- and this module is
+the public API on top of it (DESIGN.md §10):
 
 * :class:`~repro.config.ExecutionConfig` -- one frozen bundle of the
-  engine × strategy × construction knobs, accepted by every layer;
+  knobs that still choose something (construction, depth
+  optimisation, kernel backend, dead-rule pruning), accepted by every
+  layer;
 * :func:`solve` -- the one-shot "evaluate this program on this
   database over this semiring" call;
 * :class:`Session` -- the compile-once handle: it caches the
@@ -18,10 +18,6 @@ redesigned public API on top of them (DESIGN.md §10):
   (:mod:`repro.serving`) holds one ``Session`` per cache entry;
 * :func:`program_fingerprint` / :func:`database_fingerprint` -- the
   stable content identities the compiled-circuit cache is keyed on.
-
-The historical entry points remain importable and working; their
-knob kwargs are deprecation shims that fold into an
-``ExecutionConfig`` (see :func:`repro.config.merge_legacy_knobs`).
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .datalog.grounding import (
     ColumnarGroundProgram,
     GroundProgram,
     columnar_grounding,
-    relevant_grounding,
 )
 from .datalog.incremental import MaintainedFixpoint, MaintenancePolicy
 from .datalog.seminaive import FixpointEngine
@@ -114,9 +109,7 @@ class Session:
     session is that pattern as an object.  Everything expensive is
     computed lazily and cached:
 
-    * :meth:`ground` -- the grounding, in the representation the
-      configured strategy consumes (id-space for
-      ``strategy="columnar"``, tuple-space otherwise);
+    * :meth:`ground` -- the id-space grounding;
     * :meth:`circuit` -- one :class:`ConstructionChoice` per output
       fact, built by the configured construction (``auto`` runs the
       paper's decision tree); the choice caches its
@@ -153,7 +146,7 @@ class Session:
             if not report.ok:
                 raise ProgramValidationError(report.errors())
         self._engine = FixpointEngine(config=self.config.evolve(construction=None))
-        self._ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None
+        self._ground: Optional[ColumnarGroundProgram] = None
         self._plan: Optional[Program] = None
         self._choices: Dict[Fact, ConstructionChoice] = {}
         self._fingerprint: Optional[Tuple[str, str, str]] = None
@@ -196,17 +189,12 @@ class Session:
             database=self.database,
             semiring=semiring,
             ground=ground,
-            config=self.config,
         )
 
-    def ground(self) -> Union[GroundProgram, ColumnarGroundProgram]:
-        """The cached grounding, in the strategy's native representation."""
+    def ground(self) -> ColumnarGroundProgram:
+        """The cached id-space grounding of :attr:`plan_program`."""
         if self._ground is None:
-            program = self.plan_program
-            if self.config.resolved_strategy == "columnar":
-                self._ground = columnar_grounding(program, self.database)
-            else:
-                self._ground = relevant_grounding(program, self.database, config=self.config)
+            self._ground = columnar_grounding(self.plan_program, self.database)
         return self._ground
 
     def solve(
@@ -248,14 +236,14 @@ class Session:
                 choice = provenance_circuit(self.program, self.database, fact, config=self.config)
             elif construction == "generic":
                 choice = ConstructionChoice(
-                    generic_circuit(self.program, self.database, fact, config=self.config),
+                    generic_circuit(self.program, self.database, fact),
                     construction="generic",
                     theorem="Theorem 3.1",
                     reason="pinned by ExecutionConfig(construction='generic')",
                 )
             else:  # "fringe" (the vocabulary is validated by ExecutionConfig)
                 choice = ConstructionChoice(
-                    fringe_circuit(self.program, self.database, fact, config=self.config),
+                    fringe_circuit(self.program, self.database, fact),
                     construction="fringe",
                     theorem="Theorem 6.2",
                     reason="pinned by ExecutionConfig(construction='fringe')",
@@ -389,8 +377,7 @@ class StreamSession:
     wrapper keeps the *session-level* artifacts consistent too:
 
     * the session's cached grounding follows the maintained ground
-      program (columnar strategies consume it directly, tuple
-      strategies decode it at the boundary);
+      program;
     * per-output circuit choices are invalidated (they are
       structural), but circuits already served via :meth:`serve` stay
       live through leaf pushes and only rebuild on structural inserts;
@@ -644,13 +631,13 @@ def solve(
 ) -> EvaluationResult:
     """One-shot fixpoint evaluation through the unified facade.
 
-    Equivalent to every historical spelling -- ``naive_evaluation``,
-    ``seminaive_evaluation``, ``FixpointEngine(...).evaluate`` -- with
+    Equivalent to ``naive_evaluation`` and
+    ``FixpointEngine(config).evaluate`` -- the same pipeline -- with
     the knobs carried by one :class:`ExecutionConfig`::
 
         from repro.api import ExecutionConfig, solve
         result = solve(program, db, TROPICAL,
-                       config=ExecutionConfig(engine="columnar", strategy="columnar"))
+                       config=ExecutionConfig(backend="auto", prune=True))
 
     ``strict=True`` runs the full semiring-aware static analyzer
     first and raises
@@ -663,9 +650,7 @@ def solve(
     :class:`Session` instead.
     """
     if strict:
-        report = analyze_program(
-            program, database=database, semiring=semiring, ground=ground, config=config
-        )
+        report = analyze_program(program, database=database, semiring=semiring, ground=ground)
         if not report.ok:
             raise ProgramValidationError(report.errors())
     engine = FixpointEngine(config=coerce_config(config).evolve(construction=None))

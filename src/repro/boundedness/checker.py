@@ -40,7 +40,7 @@ from ..circuits.runtime import compile_circuit
 from ..datalog.ast import Program
 from ..datalog.database import Database
 from ..datalog.expansions import ConjunctiveQuery, expansions
-from ..datalog.seminaive import FixpointEngine
+from ..datalog.evaluation import boolean_iterations
 from ..grammars.chain import chain_program_to_cfg
 from .homomorphism import has_homomorphism
 
@@ -171,21 +171,15 @@ def empirical_iteration_probe(
     program: Program,
     instance_family: Callable[[int], Database],
     sizes: Sequence[int],
-    engine: Optional[FixpointEngine] = None,
 ) -> BoundednessReport:
     """Definition 4.1 probe: Boolean fixpoint rounds across input sizes.
 
     A strictly growing profile proves unboundedness (the rounds exceed
     every constant on the family); a flat profile is evidence of
-    boundedness.  *engine* threads a configured
-    :class:`FixpointEngine` through the probe; note the round count is
-    strategy-independent today (naive and semi-naive take identical
-    rounds, and the Boolean closure is set-based), so the parameter
-    only matters for future backends with different counting.
+    boundedness.
     """
-    engine = engine or FixpointEngine()
     evidence = [
-        (size, engine.boolean_iterations(program, instance_family(size))) for size in sizes
+        (size, boolean_iterations(program, instance_family(size))) for size in sizes
     ]
     iteration_counts = [it for _size, it in evidence]
     growing = all(b > a for a, b in zip(iteration_counts, iteration_counts[1:]))
@@ -257,7 +251,6 @@ def analyze_boundedness(
     program: Program,
     instance_family: Optional[Callable[[int], Database]] = None,
     sizes: Sequence[int] = (4, 8, 12, 16),
-    engine: Optional[FixpointEngine] = None,
 ) -> BoundednessReport:
     """Portfolio dispatch: exact for chain programs, Theorem 4.6
     certificates for linear ones, empirical probe as a fallback."""
@@ -268,7 +261,7 @@ def analyze_boundedness(
         if report.bounded is not None:
             return report
     if instance_family is not None:
-        return empirical_iteration_probe(program, instance_family, sizes, engine=engine)
+        return empirical_iteration_probe(program, instance_family, sizes)
     return BoundednessReport(
         program.target,
         method="none",

@@ -155,23 +155,26 @@ def crosscheck_fixpoint(
     database,
     semiring: Semiring,
     weights: Optional[Mapping] = None,
-    strategy: Optional[str] = None,
+    fixpoint: Optional[Callable] = None,
 ) -> Dict[object, Tuple[object, object]]:
-    """Compare circuit outputs against the Datalog fixpoint engine.
+    """Compare circuit outputs against the Datalog fixpoint.
 
     *facts* pairs the circuit's outputs (positionally) with the IDB
     facts they are meant to compute.  The circuit is evaluated on the
     database valuation (overridden by *weights*) and each output is
-    compared -- via ``semiring.eq`` -- with the value the
-    :class:`~repro.datalog.seminaive.FixpointEngine` computes under
-    *strategy* (default: the repo-wide semi-naive default).
+    compared -- via ``semiring.eq`` -- with the value *fixpoint*
+    computes: a callable with the signature of
+    :func:`~repro.datalog.evaluation.naive_evaluation` (the default,
+    i.e. the production :class:`~repro.datalog.seminaive.FixpointEngine`;
+    tests pass :func:`repro.testing.oracle.oracle_evaluation`).
 
     Returns ``{fact: (circuit_value, fixpoint_value)}`` for the facts
     that disagree; an empty dict certifies agreement.  This is the
     bridge the construction theorems promise ("the circuit produces
     the provenance"), used by the equivalence tests and benchmarks.
     """
-    from ..datalog.seminaive import FixpointEngine
+    if fixpoint is None:
+        from ..datalog.evaluation import naive_evaluation as fixpoint
 
     if len(facts) != len(circuit.outputs):
         raise ValueError(
@@ -183,9 +186,7 @@ def crosscheck_fixpoint(
     values = evaluate_all(
         circuit, semiring, lambda label: assignment.get(label, semiring.one)
     )
-    result = FixpointEngine(strategy).evaluate(
-        program, database, semiring, weights=weights
-    )
+    result = fixpoint(program, database, semiring, weights=weights)
     mismatches: Dict[object, Tuple[object, object]] = {}
     for fact, output in zip(facts, circuit.outputs):
         circuit_value = values[output]

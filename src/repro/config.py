@@ -1,28 +1,16 @@
 """The execution knobs, unified: one :class:`ExecutionConfig` for every layer.
 
-PRs 1-5 grew five independent spellings for "how should this run":
-``strategy=`` on the fixpoint entry points, ``grounding_engine=`` on
-the same entry points one layer up, ``engine=`` on the grounding and
-circuit-construction functions, ``columnar=`` on
-:func:`~repro.datalog.magic.magic_grounding`, and per-construction
-keyword arguments on :func:`~repro.constructions.auto.provenance_circuit`.
-Each knob was coherent locally and inconsistent globally -- the same
-word ("columnar") named a join engine, a fixpoint strategy and an
-output representation depending on the call site.
+Grounding and the fixpoint run one pipeline (DESIGN.md §2, §9): the
+slot-compiled id-space grounder feeding the delta-driven fixpoint, so
+neither has a knob.  What is left to choose lives here (DESIGN.md
+§10):
 
-This module is the single source of truth those layers now share
-(DESIGN.md §10):
-
-* the knob vocabularies (:data:`GROUNDING_ENGINES`,
-  :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`) and their
-  defaults, re-exported by the layers that historically defined them;
+* the knob vocabularies (:data:`CONSTRUCTIONS`, :data:`BACKENDS`) and
+  their defaults;
 * :class:`ExecutionConfig`, the one value every layer accepts via a
   ``config=`` keyword -- grounding, fixpoint, circuit construction,
   the :mod:`repro.api` facade and the serving stack
-  (:mod:`repro.serving`) all thread the same frozen object;
-* :func:`merge_legacy_knobs`, the deprecation shim the public entry
-  points use to keep the historical kwarg spellings working (warn,
-  don't break) while folding them into an ``ExecutionConfig``.
+  (:mod:`repro.serving`) all thread the same frozen object.
 
 It deliberately imports nothing from the rest of the package so every
 layer -- including :mod:`repro.datalog.grounding` at the bottom of the
@@ -31,15 +19,10 @@ stack -- can depend on it without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "GROUNDING_ENGINES",
-    "DEFAULT_GROUNDING_ENGINE",
-    "FIXPOINT_STRATEGIES",
-    "DEFAULT_FIXPOINT_STRATEGY",
     "CONSTRUCTIONS",
     "DEFAULT_CONSTRUCTION",
     "BACKENDS",
@@ -47,20 +30,7 @@ __all__ = [
     "ExecutionConfig",
     "DEFAULT_CONFIG",
     "coerce_config",
-    "merge_legacy_knobs",
 ]
-
-#: Join engines for grounding (DESIGN.md §5, §8): ``indexed`` probes
-#: pattern-keyed hash indexes, ``columnar`` runs the fused pass in
-#: interned id space, ``naive`` is the reference nested-loop join.
-GROUNDING_ENGINES: Tuple[str, ...] = ("indexed", "naive", "columnar")
-DEFAULT_GROUNDING_ENGINE = "indexed"
-
-#: Fixpoint strategies (DESIGN.md §4, §9): ``seminaive`` re-evaluates
-#: only dirty rules, ``columnar`` runs the same delta rounds on dense
-#: id-indexed arrays, ``naive`` is the paper's literal loop.
-FIXPOINT_STRATEGIES: Tuple[str, ...] = ("naive", "seminaive", "columnar")
-DEFAULT_FIXPOINT_STRATEGY = "seminaive"
 
 #: Circuit constructions (Sections 3-6): ``auto`` runs the paper's
 #: decision tree (:func:`repro.constructions.auto.provenance_circuit`),
@@ -77,8 +47,6 @@ BACKENDS: Tuple[str, ...] = ("python", "vectorized", "auto")
 DEFAULT_BACKEND = "python"
 
 _VOCABULARIES = {
-    "engine": GROUNDING_ENGINES,
-    "strategy": FIXPOINT_STRATEGIES,
     "construction": CONSTRUCTIONS,
     "backend": BACKENDS,
 }
@@ -89,19 +57,17 @@ class ExecutionConfig:
     """One immutable bundle of execution knobs, accepted everywhere.
 
     ``None`` fields mean "use the repo default", so a partially
-    specified config composes cleanly across layers: the fixpoint
-    engine reads ``strategy``, the grounding layer reads ``engine``,
-    the construction layer reads ``construction``/``optimize_depth``,
-    and each ignores the fields it does not own.  The ``resolved_*``
-    properties apply the defaults.
+    specified config composes cleanly across layers: the construction
+    layer reads ``construction``/``optimize_depth``, the fixpoint and
+    circuit runtime read ``backend``, the fixpoint and the facade read
+    ``prune``, and each ignores the fields it does not own.  The
+    ``resolved_*`` properties apply the defaults.
 
     Configs are hashable and cheap; build them once and thread them
     (:class:`repro.api.Session` and :class:`repro.serving.CircuitServer`
     both key caches on them).
     """
 
-    engine: Optional[str] = None
-    strategy: Optional[str] = None
     construction: Optional[str] = None
     optimize_depth: bool = False
     backend: Optional[str] = None
@@ -112,21 +78,12 @@ class ExecutionConfig:
     prune: bool = False
 
     def __post_init__(self) -> None:
-        for field in ("engine", "strategy", "construction", "backend"):
+        for field, allowed in _VOCABULARIES.items():
             value = getattr(self, field)
-            allowed = _VOCABULARIES[field]
             if value is not None and value not in allowed:
                 raise ValueError(
                     f"unknown {field} {value!r}; expected one of {allowed} (or None for the default)"
                 )
-
-    @property
-    def resolved_engine(self) -> str:
-        return self.engine or DEFAULT_GROUNDING_ENGINE
-
-    @property
-    def resolved_strategy(self) -> str:
-        return self.strategy or DEFAULT_FIXPOINT_STRATEGY
 
     @property
     def resolved_construction(self) -> str:
@@ -173,35 +130,3 @@ def coerce_config(config: ConfigLike) -> ExecutionConfig:
     raise TypeError(
         f"config must be an ExecutionConfig, a mapping of its fields, or None; got {type(config).__name__}"
     )
-
-
-def merge_legacy_knobs(where: str, config: ConfigLike, **legacy) -> ExecutionConfig:
-    """Fold deprecated kwarg spellings into an :class:`ExecutionConfig`.
-
-    *legacy* maps a config field name to an ``(old_spelling, value)``
-    pair; a non-``None`` value emits a :class:`DeprecationWarning`
-    naming the replacement and is merged into *config*.  A legacy
-    value that contradicts an explicitly configured field raises
-    :class:`ValueError` -- silently preferring either spelling would
-    make the migration ambiguous.
-
-    ``stacklevel=3`` attributes the warning to the caller of the
-    public entry point (user code), not to the shim itself.
-    """
-    merged = coerce_config(config)
-    for field, (old, value) in legacy.items():
-        if value is None:
-            continue
-        warnings.warn(
-            f"{where}({old}=...) is deprecated; pass config=ExecutionConfig({field}={value!r}) "
-            "through the repro.api facade instead (DESIGN.md §10)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        current = getattr(merged, field)
-        if current is not None and current != value:
-            raise ValueError(
-                f"{where}: legacy {old}={value!r} conflicts with config.{field}={current!r}"
-            )
-        merged = merged.evolve(**{field: value})
-    return merged

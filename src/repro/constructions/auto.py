@@ -95,10 +95,9 @@ def provenance_circuit(
     by program class (see module docstring).
 
     *config* threads the unified execution knobs (DESIGN.md §10):
-    ``config.engine`` selects the grounding join engine behind every
-    construction, and ``config.optimize_depth`` is the facade spelling
-    of the *optimize_depth* flag (either one requests the fringe
-    construction when the program class allows it).
+    ``config.optimize_depth`` is the facade spelling of the
+    *optimize_depth* flag (either one requests the fringe construction
+    when the program class allows it).
     """
     config = coerce_config(config)
     optimize_depth = optimize_depth or config.optimize_depth
@@ -116,7 +115,7 @@ def provenance_circuit(
         if report.bounded:
             bound = report.certificate
     if bound is not None:
-        circuit = bounded_circuit(program, database, bound=bound, facts=fact, config=config)
+        circuit = bounded_circuit(program, database, bound=bound, facts=fact)
         return ConstructionChoice(
             circuit,
             construction="bounded",
@@ -130,7 +129,7 @@ def provenance_circuit(
         source, other = fact.args
         specialized = magic_specialize(program, source)
         target = specialized_fact(program, source, other)
-        circuit = generic_circuit(specialized, database, target, config=config)
+        circuit = generic_circuit(specialized, database, target)
         return ConstructionChoice(
             circuit,
             construction="magic-generic",
@@ -140,7 +139,7 @@ def provenance_circuit(
         )
 
     if optimize_depth and (program.is_linear() or program.is_basic_chain()):
-        circuit = fringe_circuit(program, database, fact, config=config)
+        circuit = fringe_circuit(program, database, fact)
         return ConstructionChoice(
             circuit,
             construction="ullman-van-gelder",
@@ -149,7 +148,7 @@ def provenance_circuit(
             "depth O(log² |I|)",
         )
 
-    circuit = generic_circuit(program, database, fact, config=config)
+    circuit = generic_circuit(program, database, fact)
     return ConstructionChoice(
         circuit,
         construction="generic",

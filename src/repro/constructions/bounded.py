@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from ..circuits.circuit import Circuit
-from ..config import ConfigLike
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
-from ..datalog.grounding import GroundProgram
+from ..datalog.grounding import ColumnarGroundProgram, GroundProgram
 from .generic import generic_circuit
 
 __all__ = ["bounded_circuit"]
@@ -27,8 +26,7 @@ def bounded_circuit(
     database: Database,
     bound: int,
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
-    ground: Optional[GroundProgram] = None,
-    config: ConfigLike = None,
+    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
 ) -> Circuit:
     """The Theorem 4.3 circuit: *bound* ICO layers, balanced sums.
 
@@ -41,4 +39,4 @@ def bounded_circuit(
     """
     if bound < 1:
         raise ValueError("the boundedness constant must be ≥ 1")
-    return generic_circuit(program, database, facts, stages=bound, ground=ground, config=config)
+    return generic_circuit(program, database, facts, stages=bound, ground=ground)

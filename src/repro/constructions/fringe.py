@@ -31,17 +31,15 @@ all-pairs squaring step proportional to the realized edges instead of
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuits.circuit import Circuit, CircuitBuilder
-from ..config import ConfigLike, merge_legacy_knobs
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.grounding import (
     ColumnarGroundProgram,
     GroundProgram,
     columnar_grounding,
-    relevant_grounding,
 )
 
 __all__ = ["fringe_circuit", "default_stage_count"]
@@ -58,8 +56,7 @@ def default_stage_count(ground, fringe_bound: Optional[int] = None) -> int:
     the input -- the grounding size is a sound polynomial over-
     approximation for the linear and chain programs benchmarked here
     (each node consumes a distinct ground rule occurrence budget).
-    *ground* may be a tuple-space or columnar grounding; only its
-    ``size`` is read.
+    Only *ground*'s ``size`` is read.
     """
     if fringe_bound is None:
         fringe_bound = max(ground.size, 2)
@@ -73,67 +70,75 @@ def fringe_circuit(
     stages: Optional[int] = None,
     fringe_bound: Optional[int] = None,
     ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
-    engine: Optional[str] = None,
-    config: ConfigLike = None,
 ) -> Circuit:
     """Theorem 6.2's circuit for *facts* (default: all target facts).
 
     *stages* overrides ``K``; *fringe_bound* feeds
-    :func:`default_stage_count`.  *engine* selects the grounding join
-    engine when *ground* is not supplied (``"indexed"`` | ``"naive"``
-    | ``"columnar"``, see
-    :func:`~repro.datalog.grounding.relevant_grounding`); with
-    ``engine="columnar"`` the program is grounded straight into id
-    space and the per-stage rule sweeps read the columnar arrays --
-    facts are decoded only for input-gate labels and outputs.  A
-    precomputed grounding of either form can be passed as *ground*.
-    Input labels are EDB facts, so ``database.valuation(semiring)``
-    evaluates the result.
+    :func:`default_stage_count`.  The program is grounded straight
+    into id space (:func:`~repro.datalog.grounding.columnar_grounding`)
+    unless a precomputed grounding is passed as *ground* (a tuple
+    :class:`~repro.datalog.grounding.GroundProgram` is lowered first).
 
-    ``engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)``; it still works but warns.
+    Vertices of ``H`` are numbered straight off the head fact ids;
+    rules and their IDB bodies are read from the columnar CSR arrays,
+    EDB constants are decoded once for the input-gate labels, and
+    outputs decode at the very end.  Input labels are EDB facts, so
+    ``database.valuation(semiring)`` evaluates the result.
     """
-    config = merge_legacy_knobs("fringe_circuit", config, engine=("engine", engine))
     if ground is None:
-        if config.resolved_engine == "columnar":
-            ground = columnar_grounding(program, database)
-        else:
-            ground = relevant_grounding(program, database, config=config)
+        cground = columnar_grounding(program, database)
+    elif isinstance(ground, ColumnarGroundProgram):
+        cground = ground
+    else:
+        cground = ColumnarGroundProgram.from_ground_program(ground)
     if stages is None:
-        stages = default_stage_count(ground, fringe_bound)
-    if isinstance(ground, ColumnarGroundProgram):
-        return _fringe_circuit_columnar(program, ground, facts, stages)
-
-    idb_facts: List[Fact] = sorted(ground.idb_facts, key=repr)
-    fact_id: Dict[Fact, int] = {fact: i + 1 for i, fact in enumerate(idb_facts)}
+        stages = default_stage_count(cground, fringe_bound)
+    head_fids = cground.idb_fact_ids()
+    fact_num: Dict[int, int] = {fid: i + 1 for i, fid in enumerate(head_fids)}
+    decode = cground.decode_fact
 
     builder = CircuitBuilder(share=True)
-    edge_var: Dict[Fact, int] = {}
-
-    def var(fact: Fact) -> int:
-        node = edge_var.get(fact)
-        if node is None:
-            node = builder.var(fact)
-            edge_var[fact] = node
-        return node
-
+    edge_var: Dict[int, int] = {
+        fid: builder.var(decode(fid)) for fid in cground.edb_fact_ids()
+    }
+    nrules = len(cground)
+    idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
+    edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
     rule_edb_product: List[int] = [
-        builder.mul_all([var(f) for f in rule.edb_body]) for rule in ground.rules
+        builder.mul_all(
+            [
+                edge_var[edb_flat[at]]
+                for at in range(edb_indptr[position], edb_indptr[position + 1])
+            ]
+        )
+        for position in range(nrules)
     ]
-
-    rule_head_num: List[int] = [fact_id[rule.head] for rule in ground.rules]
+    rule_head_num: List[int] = [fact_num[fid] for fid in cground.rule_head]
     rule_idb_nums: List[Tuple[int, ...]] = [
-        tuple(fact_id[f] for f in rule.idb_body) for rule in ground.rules
+        tuple(
+            fact_num[idb_flat[at]]
+            for at in range(idb_indptr[position], idb_indptr[position + 1])
+        )
+        for position in range(nrules)
     ]
     graph = _fringe_stages(builder, stages, rule_edb_product, rule_head_num, rule_idb_nums)
 
-    outputs_facts = _resolve_outputs(program, facts, idb_facts)
-    output_nodes = [
-        graph.get(_ROOT, {}).get(fact_id[f], builder.const0())
-        if f in fact_id
-        else builder.const0()
-        for f in outputs_facts
-    ]
+    root_row = graph.get(_ROOT, {})
+    output_nodes: List[int] = []
+    if facts is None:
+        targets = sorted(
+            ((decode(fid), fid) for fid in cground.target_fact_ids()),
+            key=lambda pair: repr(pair[0]),
+        )
+        for _, fid in targets:
+            output_nodes.append(root_row.get(fact_num[fid], builder.const0()))
+    else:
+        for fact in [facts] if isinstance(facts, Fact) else facts:
+            fid = cground.find_fact_id(fact)
+            num = fact_num.get(fid) if fid is not None else None
+            output_nodes.append(
+                root_row.get(num, builder.const0()) if num is not None else builder.const0()
+            )
     return builder.build(output_nodes, prune=True)
 
 
@@ -147,9 +152,8 @@ def _fringe_stages(
     """The four-step stage loop on the weighted digraph ``H``.
 
     Rules are consumed as numeric views -- per-rule EDB product node,
-    head vertex, IDB body vertices -- so the tuple and columnar
-    front-ends share one implementation; ``H`` is kept sparse
-    (``H[a]`` is ``{b: node}``).
+    head vertex, IDB body vertices; ``H`` is kept sparse (``H[a]`` is
+    ``{b: node}``).
     """
     graph: Dict[int, Dict[int, int]] = {}
     nrules = len(rule_edb_product)
@@ -233,78 +237,3 @@ def _fringe_stages(
             new_graph[a][b] = builder.add_all(terms)
         graph = new_graph
     return graph
-
-
-def _fringe_circuit_columnar(
-    program: Program,
-    cground: ColumnarGroundProgram,
-    facts: Optional[Union[Fact, Sequence[Fact]]],
-    stages: int,
-) -> Circuit:
-    """Theorem 6.2's construction streamed from the id-space grounding.
-
-    Vertices of ``H`` are numbered straight off the head fact ids;
-    rules and their IDB bodies are read from the columnar CSR arrays,
-    EDB constants are decoded once for the input-gate labels, and
-    outputs decode at the very end -- no other tuple conversion
-    anywhere.
-    """
-    head_fids = cground.idb_fact_ids()
-    fact_num: Dict[int, int] = {fid: i + 1 for i, fid in enumerate(head_fids)}
-    decode = cground.decode_fact
-
-    builder = CircuitBuilder(share=True)
-    edge_var: Dict[int, int] = {
-        fid: builder.var(decode(fid)) for fid in cground.edb_fact_ids()
-    }
-    nrules = len(cground)
-    idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-    edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-    rule_edb_product: List[int] = [
-        builder.mul_all(
-            [
-                edge_var[edb_flat[at]]
-                for at in range(edb_indptr[position], edb_indptr[position + 1])
-            ]
-        )
-        for position in range(nrules)
-    ]
-    rule_head_num: List[int] = [fact_num[fid] for fid in cground.rule_head]
-    rule_idb_nums: List[Tuple[int, ...]] = [
-        tuple(
-            fact_num[idb_flat[at]]
-            for at in range(idb_indptr[position], idb_indptr[position + 1])
-        )
-        for position in range(nrules)
-    ]
-    graph = _fringe_stages(builder, stages, rule_edb_product, rule_head_num, rule_idb_nums)
-
-    root_row = graph.get(_ROOT, {})
-    output_nodes: List[int] = []
-    if facts is None:
-        targets = sorted(
-            ((decode(fid), fid) for fid in cground.target_fact_ids()),
-            key=lambda pair: repr(pair[0]),
-        )
-        for _, fid in targets:
-            output_nodes.append(root_row.get(fact_num[fid], builder.const0()))
-    else:
-        for fact in [facts] if isinstance(facts, Fact) else facts:
-            fid = cground.find_fact_id(fact)
-            num = fact_num.get(fid) if fid is not None else None
-            output_nodes.append(
-                root_row.get(num, builder.const0()) if num is not None else builder.const0()
-            )
-    return builder.build(output_nodes, prune=True)
-
-
-def _resolve_outputs(
-    program: Program,
-    facts: Optional[Union[Fact, Sequence[Fact]]],
-    idb_facts: Iterable[Fact],
-) -> List[Fact]:
-    if facts is None:
-        return [f for f in idb_facts if f.predicate == program.target]
-    if isinstance(facts, Fact):
-        return [facts]
-    return list(facts)

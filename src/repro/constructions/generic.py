@@ -16,10 +16,11 @@ Gates are hash-consed, so when the symbolic layer values stabilize
 early (e.g. bounded programs, acyclic inputs) the construction stops
 adding gates and exits.
 
-The stage loop is the *symbolic* twin of the semi-naive engine
-(:mod:`repro.datalog.seminaive`): per-fact node deltas plus the
-grounding's ``rules_by_idb_body`` index mean each stage only rebuilds
-``⊗``-chains for rules whose body node actually changed.  Hash-consing
+The stage loop is the *symbolic* twin of the semi-naive fixpoint
+(:mod:`repro.datalog.seminaive`), streamed from the same id-space
+grounding: per-fact node deltas plus the grounding's body CSR mean
+each stage only rebuilds ``⊗``-chains for rules whose body node
+actually changed.  Hash-consing
 makes this an exact optimization -- an unchanged head re-folds to the
 identical gate id -- so the constructed circuit is the same one the
 dense loop produced, found with far fewer builder calls.
@@ -27,17 +28,15 @@ dense loop produced, found with far fewer builder calls.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..circuits.circuit import Circuit, CircuitBuilder
-from ..config import ConfigLike, merge_legacy_knobs
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.grounding import (
     ColumnarGroundProgram,
     GroundProgram,
     columnar_grounding,
-    relevant_grounding,
 )
 
 __all__ = ["generic_circuit"]
@@ -49,8 +48,6 @@ def generic_circuit(
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
     stages: Optional[int] = None,
     ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
-    engine: Optional[str] = None,
-    config: ConfigLike = None,
 ) -> Circuit:
     """Build the Theorem 3.1 circuit for *facts* (default: all target
     facts) of *program* on *database*.
@@ -58,93 +55,27 @@ def generic_circuit(
     *stages* defaults to the sound bound ``N`` (number of derivable
     IDB facts); pass a smaller value only with an external guarantee
     (e.g. a boundedness constant -- that case is
-    :func:`repro.constructions.bounded.bounded_circuit`).  *engine*
-    selects the grounding join engine when *ground* is not supplied
-    (``"indexed"`` | ``"naive"`` | ``"columnar"``, see
-    :func:`~repro.datalog.grounding.relevant_grounding`); with
-    ``engine="columnar"`` the program is grounded straight into id
-    space (:func:`~repro.datalog.grounding.columnar_grounding`) and
-    the stage loop streams from the columnar arrays -- EDB constants
-    are decoded exactly once, for the input-gate labels.  A
-    precomputed grounding of either form can be passed as *ground*.
+    :func:`repro.constructions.bounded.bounded_circuit`).  The program
+    is grounded straight into id space
+    (:func:`~repro.datalog.grounding.columnar_grounding`) unless a
+    precomputed grounding is passed as *ground* (a tuple
+    :class:`~repro.datalog.grounding.GroundProgram` is lowered first).
 
-    The circuit's input labels are the EDB :class:`Fact` objects, so
-    ``database.valuation(semiring)`` is a ready-made assignment.
-
-    ``engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)``; it still works but warns.
-    """
-    config = merge_legacy_knobs("generic_circuit", config, engine=("engine", engine))
-    if ground is None:
-        if config.resolved_engine == "columnar":
-            ground = columnar_grounding(program, database)
-        else:
-            ground = relevant_grounding(program, database, config=config)
-    if isinstance(ground, ColumnarGroundProgram):
-        return _generic_circuit_columnar(program, ground, facts, stages)
-    idb_facts: List[Fact] = sorted(ground.idb_facts, key=repr)
-    if stages is None:
-        stages = max(len(idb_facts), 1)
-
-    builder = CircuitBuilder(share=True)
-    value: Dict[Fact, int] = {fact: builder.const0() for fact in idb_facts}
-
-    # Pre-intern EDB inputs and per-rule EDB products (stage-invariant).
-    rule_edb_product: List[int] = [
-        builder.mul_all([builder.var(edb) for edb in rule.edb_body]) for rule in ground.rules
-    ]
-
-    # Delta-driven stages over the grounding's body index: only rules
-    # whose body node changed in the previous stage are re-chained.
-    rules = ground.rules
-    by_body = ground.rules_by_idb_body
-    by_head = ground.rule_indices_by_head
-    rule_node: List[int] = list(rule_edb_product)
-    dirty: Sequence[int] = range(len(rules))
-    for _ in range(stages):
-        dirty_heads = set()
-        for position in dirty:
-            rule = rules[position]
-            node = rule_edb_product[position]
-            for body_fact in rule.idb_body:
-                node = builder.mul(node, value[body_fact])
-            rule_node[position] = node
-            dirty_heads.add(rule.head)
-        delta: Dict[Fact, int] = {}
-        for fact in dirty_heads:
-            fresh = builder.add_all([rule_node[position] for position in by_head[fact]])
-            if fresh != value[fact]:
-                delta[fact] = fresh
-        if not delta:
-            break  # symbolic fixpoint: further layers are no-ops
-        value.update(delta)
-        dirty = sorted(
-            {position for fact in delta for position in by_body.get(fact, ())}
-        )
-
-    outputs = _resolve_outputs(program, facts, idb_facts)
-    output_nodes = [value.get(fact, builder.const0()) for fact in outputs]
-    # Keep missing facts' const0 outputs meaningful even when pruning.
-    circuit = builder.build(output_nodes, prune=True)
-    return circuit
-
-
-def _generic_circuit_columnar(
-    program: Program,
-    cground: ColumnarGroundProgram,
-    facts: Optional[Union[Fact, Sequence[Fact]]],
-    stages: Optional[int],
-) -> Circuit:
-    """The stage loop of :func:`generic_circuit`, streamed from the
-    id-space grounding (DESIGN.md §9).
-
-    Same delta-driven construction, same hash-consed gates: node ids
-    live in one dense list indexed by fact id, rules and the
+    The stage loop streams from the columnar arrays (DESIGN.md §9):
+    node ids live in one dense list indexed by fact id, rules and the
     ``by_body`` / ``by_head`` adjacency are read from the CSR arrays,
     and dirty bookkeeping is ``bytearray`` marks -- the only
     :class:`Fact` objects ever materialized are the EDB input labels
-    (once each) and the requested outputs.
+    (once each) and the requested outputs.  The circuit's input labels
+    are the EDB :class:`Fact` objects, so
+    ``database.valuation(semiring)`` is a ready-made assignment.
     """
+    if ground is None:
+        cground = columnar_grounding(program, database)
+    elif isinstance(ground, ColumnarGroundProgram):
+        cground = ground
+    else:
+        cground = ColumnarGroundProgram.from_ground_program(ground)
     head_fids = cground.idb_fact_ids()
     if stages is None:
         stages = max(len(head_fids), 1)
@@ -155,8 +86,7 @@ def _generic_circuit_columnar(
     decode = cground.decode_fact
     # Node slot per fact id: const0 for IDB facts, an input gate for
     # EDB facts (a fid outside both sets cannot occur in a relevant
-    # grounding; the None placeholder fails fast if it ever does,
-    # mirroring the tuple path's KeyError).
+    # grounding; the None placeholder fails fast if it ever does).
     value: List[Optional[int]] = [None] * nfacts
     is_head = bytearray(nfacts)
     const0 = builder.const0()
@@ -229,8 +159,8 @@ def _generic_circuit_columnar(
         next_dirty.sort()
         dirty = next_dirty
 
-    # Outputs decode at the boundary only; order matches the tuple
-    # path (repr-sorted idb facts filtered to the target).
+    # Outputs decode at the boundary only: target facts in repr
+    # order, or the requested facts in the order given.
     output_nodes: List[int] = []
     if facts is None:
         targets = sorted(
@@ -247,14 +177,3 @@ def _generic_circuit_columnar(
                 output_nodes.append(builder.const0())
     return builder.build(output_nodes, prune=True)
 
-
-def _resolve_outputs(
-    program: Program,
-    facts: Optional[Union[Fact, Sequence[Fact]]],
-    idb_facts: Iterable[Fact],
-) -> List[Fact]:
-    if facts is None:
-        return [f for f in idb_facts if f.predicate == program.target]
-    if isinstance(facts, Fact):
-        return [facts]
-    return list(facts)

@@ -2,14 +2,12 @@
 
 The engine: AST + parser, annotated databases backed by an interned
 columnar fact store (:mod:`repro.datalog.store`, DESIGN.md §8),
-grounding (full and relevant, each served by the indexed join engine
-by default with the columnar id-space engine and the naive
-nested-loop engine selectable -- see :mod:`repro.datalog.grounding`
-and DESIGN.md §5), fixpoint evaluation
+grounding (full and relevant, both by one id-space grounder -- see
+:mod:`repro.datalog.grounding` and DESIGN.md §5), fixpoint evaluation
 over any naturally ordered semiring via the :class:`FixpointEngine`
-(semi-naive with indexed deltas by default, the paper's naive loop as
-the selectable reference strategy -- see
-:mod:`repro.datalog.seminaive`), proof-tree enumeration (tight trees,
+(semi-naive rounds over the id-space grounding -- see
+:mod:`repro.datalog.seminaive`; the paper's naive loop is the test
+oracle in :mod:`repro.testing.oracle`), proof-tree enumeration (tight trees,
 Prop 2.4), CQ expansions of linear programs (Thm 4.5) and a library
 of the paper's example programs.
 """
@@ -49,8 +47,6 @@ from .expansions import (
     unify_atoms,
 )
 from .grounding import (
-    DEFAULT_GROUNDING_ENGINE,
-    GROUNDING_ENGINES,
     GROUNDING_STATS,
     ColumnarGroundProgram,
     GroundingStats,
@@ -63,15 +59,7 @@ from .grounding import (
     relevant_grounding,
 )
 from .incremental import MaintainedFixpoint
-from .seminaive import (
-    COLUMNAR,
-    DEFAULT_STRATEGY,
-    NAIVE,
-    SEMINAIVE,
-    STRATEGIES,
-    FixpointEngine,
-    seminaive_evaluation,
-)
+from .seminaive import FixpointEngine
 from .store import (
     GLOBAL_SYMBOLS,
     ColumnarRelation,
@@ -146,8 +134,6 @@ __all__ = [
     "ColumnarStore",
     "DeltaView",
     "GROUNDING_STATS",
-    "GROUNDING_ENGINES",
-    "DEFAULT_GROUNDING_ENGINE",
     "count_join_probes",
     "full_grounding",
     "relevant_grounding",
@@ -156,16 +142,10 @@ __all__ = [
     "EvaluationResult",
     "DivergenceError",
     "naive_evaluation",
-    "seminaive_evaluation",
     "evaluate_fact",
     "boolean_iterations",
     "FixpointEngine",
     "MaintainedFixpoint",
-    "DEFAULT_STRATEGY",
-    "NAIVE",
-    "SEMINAIVE",
-    "COLUMNAR",
-    "STRATEGIES",
     "ProofTree",
     "enumerate_tight_proof_trees",
     "enumerate_proof_trees",

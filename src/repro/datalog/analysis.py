@@ -86,11 +86,10 @@ from typing import (
     Union,
 )
 
-from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import DatalogError, Fact, Program, Rule, SourceSpan
 from .database import Database
-from .grounding import ColumnarGroundProgram, GroundProgram, relevant_grounding
+from .grounding import ColumnarGroundProgram, GroundProgram, columnar_grounding
 
 __all__ = [
     "SEVERITIES",
@@ -408,8 +407,9 @@ class DivergencePrediction:
 
     ``verdict`` is :data:`CONVERGES` / :data:`DIVERGES` /
     :data:`UNKNOWN`; both definite verdicts are *claims* about the
-    runtime ``converged`` flag (property-tested against the full
-    engine × strategy matrix), ``unknown`` is compatible with either.
+    runtime ``converged`` flag (property-tested against the production
+    fixpoint and the naive oracle), ``unknown`` is compatible with
+    either.
     ``witness`` is a fact on a derivable ground cycle when one was
     found.
     """
@@ -465,25 +465,20 @@ def _first_cycle_fact(ground: Union[GroundProgram, ColumnarGroundProgram]) -> Op
 
     The graph has an edge ``body fact → head fact`` for every ground
     rule; only IDB facts can lie on a cycle (EDB facts have no
-    incoming edges).  Works on either ground representation -- in id
-    space for :class:`ColumnarGroundProgram` (no decode except the
-    witness) -- via an iterative white/gray/black DFS.
+    incoming edges).  Runs in id space (a tuple grounding is lowered
+    first; no decode except the witness) via an iterative
+    white/gray/black DFS.
     """
-    if isinstance(ground, ColumnarGroundProgram):
-        nrules = len(ground)
-        indptr, flat = ground.idb_indptr, ground.idb_flat
-        adjacency: Dict[object, List[object]] = {}
-        for position in range(nrules):
-            head = ground.rule_head[position]
-            for at in range(indptr[position], indptr[position + 1]):
-                adjacency.setdefault(flat[at], []).append(head)
-        witness = _dfs_cycle(adjacency)
-        return ground.decode_fact(witness) if witness is not None else None
-    adjacency = {}
-    for rule in ground.rules:
-        for body_fact in rule.idb_body:
-            adjacency.setdefault(body_fact, []).append(rule.head)
-    return _dfs_cycle(adjacency)
+    if not isinstance(ground, ColumnarGroundProgram):
+        ground = ColumnarGroundProgram.from_ground_program(ground)
+    indptr, flat = ground.idb_indptr, ground.idb_flat
+    adjacency: Dict[object, List[object]] = {}
+    for position in range(len(ground)):
+        head = ground.rule_head[position]
+        for at in range(indptr[position], indptr[position + 1]):
+            adjacency.setdefault(flat[at], []).append(head)
+    witness = _dfs_cycle(adjacency)
+    return ground.decode_fact(witness) if witness is not None else None
 
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
@@ -593,7 +588,6 @@ def predict_divergence(
     semiring: Semiring,
     database: Optional[Database] = None,
     ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
-    config: ConfigLike = None,
 ) -> DivergencePrediction:
     """Will the fixpoint of *program* over *semiring* converge?
 
@@ -643,7 +637,7 @@ def predict_divergence(
             name,
         )
     if ground is None:
-        ground = relevant_grounding(program, database, config=config)
+        ground = columnar_grounding(program, database)
     witness = _first_cycle_fact(ground)
     if witness is None:
         return DivergencePrediction(
@@ -927,7 +921,6 @@ def analyze_program(
     database: Optional[Database] = None,
     semiring: Optional[Semiring] = None,
     ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
-    config: ConfigLike = None,
 ) -> AnalysisReport:
     """Run the full pass battery over *program*.
 
@@ -950,7 +943,7 @@ def analyze_program(
         clean = not any(d.severity == "error" for d in diagnostics)
         if clean:
             prediction = predict_divergence(
-                program, semiring, database=database, ground=ground, config=config
+                program, semiring, database=database, ground=ground
             )
             verdict_diagnostic = _divergence_diagnostic(prediction, program)
             if verdict_diagnostic is not None:

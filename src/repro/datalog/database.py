@@ -9,7 +9,7 @@ The class is the user-facing façade over two physical layouts: the
 historical per-predicate Python sets (direct membership tests, cheap
 single-fact writes) and a lazily materialized interned
 :class:`~repro.datalog.store.ColumnarStore` (DESIGN.md §8) that the
-``engine="columnar"`` grounding backend consumes.  Derived views that
+grounder consumes.  Derived views that
 used to rescan every fact on each call -- the sorted fact list, the
 active domain, per-semiring valuations and the columnar store -- are
 cached and invalidated on mutation, so hot paths (grounding, repeated
@@ -241,7 +241,7 @@ class Database:
         Materialized lazily on first use against the process-wide
         symbol table and cached until the next mutation.  The returned
         store is shared: consumers that append derived facts (the
-        ``engine="columnar"`` grounder) must take a
+        grounder) must take a
         :meth:`~repro.datalog.store.ColumnarStore.copy` first;
         read-only consumers (pattern lookups, scans) may use it
         directly, and any indexes they build stay cached here.
@@ -252,8 +252,8 @@ class Database:
         short-lived databases with unique constants should scope
         interning to the database's lifetime).  The table *sticks*:
         it replaces the cache and every later materialization of this
-        database -- including the ones ``engine="columnar"`` grounding
-        runs trigger internally -- interns into it, so the escape
+        database -- including the ones grounding runs trigger
+        internally -- interns into it, so the escape
         hatch is one call, not a parameter on every entry point.
         Scope **before** the first columnar use: constants a prior
         no-arg materialization already interned into the global table

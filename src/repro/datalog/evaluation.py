@@ -5,44 +5,33 @@ fact ``α`` to the ``⊕``-sum over all grounded rules with head ``α`` of
 the ``⊗``-product of the rule's body facts.  Naive evaluation starts
 from all-``0`` and applies the ICO until a fixpoint.
 
-Two strategies compute that fixpoint (see
-:mod:`repro.datalog.seminaive` for the :class:`FixpointEngine` API and
-the naive-vs-semi-naive trade-off):
-
-* ``naive`` -- the paper's loop, kept verbatim in
-  :func:`_naive_fixpoint` as the reference implementation: every round
-  re-evaluates every ground rule, ``O(iterations × |ground rules|)``.
-* ``seminaive`` -- the default: per-fact deltas plus the
-  ``rules_by_idb_body`` index re-evaluate only rules whose body
-  actually changed, round-for-round equivalent to naive.
-* ``columnar`` -- the same delta-driven rounds run in id space on a
-  :class:`~repro.datalog.grounding.ColumnarGroundProgram` (dense
-  value arrays indexed by fact id, CSR adjacency, object-space ⊗/⊕;
-  DESIGN.md §9), round-for-round equivalent to both.
-
-:func:`naive_evaluation` keeps its historical name and signature but
-now delegates to the engine, so every caller gets the semi-naive
-backend unless it pins ``strategy="naive"``.
+One pipeline computes that fixpoint (see :mod:`repro.datalog.seminaive`
+for :class:`~repro.datalog.seminaive.FixpointEngine`): the id-space
+grounding feeding delta-driven rounds that re-evaluate only rules
+whose body changed, round-for-round equivalent to the paper's loop.
+That loop itself is kept verbatim as the test oracle
+(:func:`repro.testing.oracle.naive_fixpoint`).
+:func:`naive_evaluation` keeps its historical name and signature and
+delegates to the engine.
 
 Convergence is guaranteed for absorptive (0-stable) semirings -- in at
 most ``N`` rounds, where ``N`` is the number of derivable IDB facts,
 because a tight proof tree repeats no IDB fact on a root-to-leaf path
 and so has height at most ``N``.  Over non-stable semirings (e.g. the
 counting semiring on cyclic inputs) evaluation may diverge; the
-``max_iterations`` guard reports that instead of spinning, identically
-under both strategies.
+``max_iterations`` guard reports that instead of spinning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Union
 
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import Fact, Program
 from .database import Database
-from .grounding import GroundProgram, derivable_facts
+from .grounding import ColumnarGroundProgram, GroundProgram, derivable_facts
 
 __all__ = [
     "EvaluationResult",
@@ -64,17 +53,15 @@ class EvaluationResult:
     ``values`` holds the least-fixpoint annotation of every derivable
     IDB fact; ``iterations`` is the number of ICO applications until
     the fixpoint was certified (the quantity bounded by Definition
-    4.1's ``k`` for bounded programs) and is identical across
-    strategies.  ``strategy`` records which backend produced the
-    result; ``rule_evaluations`` counts ``⊗``-term recomputations, the
-    cost metric on which the strategies differ.
+    4.1's ``k`` for bounded programs) and equals the paper's naive
+    loop's; ``rule_evaluations`` counts ``⊗``-term recomputations, the
+    cost metric on which the delta-driven rounds beat that loop.
     """
 
     semiring: Semiring
     values: Dict[Fact, object]
     iterations: int
     converged: bool
-    strategy: str = "naive"
     rule_evaluations: int = 0
 
     def value(self, fact: Fact):
@@ -88,54 +75,14 @@ class EvaluationResult:
         }
 
 
-def _naive_fixpoint(
-    ground: GroundProgram,
-    semiring: Semiring,
-    edb_value: Mapping[Fact, object],
-    idb_facts: List[Fact],
-    max_iterations: int,
-) -> Tuple[Dict[Fact, object], int, bool, int]:
-    """The literal Section 2.3 loop: re-evaluate everything each round.
-
-    Returns ``(values, iterations, converged, rule_evaluations)``; the
-    reference the semi-naive strategy is tested against.
-    """
-    # Precompute each ground rule's EDB product once.
-    rule_edb_product = [
-        semiring.mul_all(edb_value[fact] for fact in rule.edb_body) for rule in ground.rules
-    ]
-
-    values: Dict[Fact, object] = {fact: semiring.zero for fact in idb_facts}
-    iterations = 0
-    converged = False
-    rule_evaluations = 0
-    for _ in range(max_iterations):
-        fresh: Dict[Fact, object] = {fact: semiring.zero for fact in idb_facts}
-        for rule, edb_product in zip(ground.rules, rule_edb_product):
-            term = edb_product
-            for body_fact in rule.idb_body:
-                term = semiring.mul(term, values[body_fact])
-            fresh[rule.head] = semiring.add(fresh[rule.head], term)
-            rule_evaluations += 1
-        iterations += 1
-        if all(semiring.eq(fresh[fact], values[fact]) for fact in idb_facts):
-            converged = True
-            values = fresh
-            break
-        values = fresh
-    return values, iterations, converged, rule_evaluations
-
-
 def naive_evaluation(
     program: Program,
     database: Database,
     semiring: Semiring,
     weights: Optional[Mapping[Fact, object]] = None,
-    ground: Optional[GroundProgram] = None,
+    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
     max_iterations: Optional[int] = None,
     raise_on_divergence: bool = False,
-    strategy: Optional[str] = None,
-    grounding_engine: Optional[str] = None,
     config: ConfigLike = None,
     validate: bool = True,
 ) -> EvaluationResult:
@@ -143,25 +90,14 @@ def naive_evaluation(
 
     *weights* overrides the database's stored annotations (default:
     stored weight, else ``1``).  *ground* lets callers reuse a
-    precomputed grounding.  ``max_iterations`` defaults to
-    ``max(#IDB facts, 1) + 2`` extra headroom for absorptive
-    semirings and must be set explicitly for non-stable ones.
+    precomputed grounding, id-space or tuple.  ``max_iterations``
+    defaults to ``max(#IDB facts, 1) + 2`` extra headroom for
+    absorptive semirings and must be set explicitly for non-stable
+    ones.
 
     Despite the historical name this delegates to the
-    :class:`~repro.datalog.seminaive.FixpointEngine`; *strategy* picks
-    the backend (``"naive"`` | ``"seminaive"`` | ``"columnar"``,
-    default :data:`~repro.datalog.seminaive.DEFAULT_STRATEGY`, i.e.
-    semi-naive).  All produce identical results round for round.
-    *grounding_engine* picks the join engine used when *ground* is not
-    supplied (``"indexed"`` | ``"naive"`` | ``"columnar"``, see
-    :func:`~repro.datalog.grounding.relevant_grounding`); *ground*
-    itself may be a tuple-space ``GroundProgram`` or an id-space
-    :class:`~repro.datalog.grounding.ColumnarGroundProgram`.
-
-    ``strategy=`` and ``grounding_engine=`` are the deprecated
-    spellings of ``config=ExecutionConfig(strategy=..., engine=...)``
-    (the :mod:`repro.api` facade, DESIGN.md §10); they still work but
-    warn.
+    :class:`~repro.datalog.seminaive.FixpointEngine`, the one
+    production fixpoint.
 
     ``validate=True`` (the default) runs the DL001/DL002 static checks
     before grounding and raises
@@ -171,12 +107,6 @@ def naive_evaluation(
     """
     from .seminaive import FixpointEngine
 
-    config = merge_legacy_knobs(
-        "naive_evaluation",
-        config,
-        strategy=("strategy", strategy),
-        engine=("grounding_engine", grounding_engine),
-    )
     return FixpointEngine(config=config).evaluate(
         program,
         database,
@@ -195,15 +125,9 @@ def evaluate_fact(
     semiring: Semiring,
     fact: Fact,
     weights: Optional[Mapping[Fact, object]] = None,
-    strategy: Optional[str] = None,
     config: ConfigLike = None,
 ):
-    """Least-fixpoint value of one IDB *fact* (``0`` if underivable).
-
-    ``strategy=`` is the deprecated spelling of
-    ``config=ExecutionConfig(strategy=...)``; it still works but warns.
-    """
-    config = merge_legacy_knobs("evaluate_fact", config, strategy=("strategy", strategy))
+    """Least-fixpoint value of one IDB *fact* (``0`` if underivable)."""
     result = naive_evaluation(program, database, semiring, weights, config=config)
     return result.value(fact)
 

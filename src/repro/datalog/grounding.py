@@ -1,59 +1,41 @@
 """Grounding of Datalog programs (Section 2.1).
 
 A *grounding* of a rule instantiates its variables with active-domain
-constants.  Two strategies are provided:
+constants.  Two groundings are provided:
 
 * :func:`full_grounding` -- all ``|Dom(I)|^{#vars}`` instantiations
   whose EDB body atoms hold in the input.  This is the paper's
   definition; exponential in rule width, usable only on tiny inputs.
 
-* :func:`relevant_grounding` -- only ground rules all of whose body
-  facts are actually derivable.  Omitted ground rules would contribute
-  ``0`` to every ICO sum, so provenance polynomials (and therefore all
-  circuits built from the grounding) are unchanged; this is what makes
-  the Theorem 3.1/6.2 constructions practical (DESIGN.md §2, ablated
-  in DESIGN.md §6).
+* :func:`relevant_grounding` / :func:`columnar_grounding` -- only
+  ground rules all of whose body facts are actually derivable.
+  Omitted ground rules would contribute ``0`` to every ICO sum, so
+  provenance polynomials (and therefore all circuits built from the
+  grounding) are unchanged; this is what makes the Theorem 3.1/6.2
+  constructions practical (DESIGN.md §2, ablated in DESIGN.md §6).
 
-Each strategy is served by one of three interchangeable join
-*engines*, selected with the ``engine`` keyword (DESIGN.md §5, §8):
+One grounder serves both (DESIGN.md §5, §9): a fused, delta-driven
+semi-naive pass run entirely in *id space* on the interned columnar
+store of :mod:`repro.datalog.store` (DESIGN.md §8).  Rules are
+slot-compiled once (:class:`_SlotAtom`), join steps are precompiled
+per ``(rule, delta position)`` and read candidate cells straight out
+of the store's columns, and emission appends plain ints to a
+:class:`ColumnarGroundProgram` -- the form the fixpoint
+(:mod:`repro.datalog.seminaive`), the circuit constructions and the
+maintainer (:mod:`repro.datalog.incremental`) consume.
+:class:`GroundProgram` is its decoded tuple view
+(:meth:`ColumnarGroundProgram.to_ground_program`) for the analyzer,
+proof trees and anything else that wants :class:`Fact` objects.
 
-* ``"indexed"`` (the default) -- a fused, delta-driven grounding pass.
-  The fact store keeps per-predicate hash indexes keyed on the exact
-  constant pattern an atom presents (:class:`_FactIndex.lookup`), body
-  atoms are reordered greedily by selectivity before each join
-  (:func:`_order_body`), and ground rules are emitted incrementally
-  while the Boolean fixpoint is computed -- a single semi-naive pass
-  instead of a fixpoint followed by a from-scratch re-join.  Cost is
-  ``O(Σ bindings actually enumerated)`` with each index probe a dict
-  lookup.
+The naive reference grounder (Boolean fixpoint, then a from-scratch
+nested-loop re-join of every rule) lives in :mod:`repro.testing.oracle`
+and is reachable only from tests; it shares the plain tuple join kept
+here (:class:`_FactIndex`, :func:`_join`), which the UCQ evaluators
+use as well.
 
-* ``"columnar"`` -- the same fused, delta-driven pass run entirely in
-  *id space* on the interned columnar store of
-  :mod:`repro.datalog.store` (DESIGN.md §8): constants are interned
-  once into integer ids, relations are parallel ``array('q')``
-  columns, pattern lookups are ``bisect`` ranges over contiguous
-  sorted-id arrays, and semi-naive rounds consume the store's
-  :class:`~repro.datalog.store.DeltaView` windows.  Facts are decoded
-  back to :class:`Fact` objects only when ground rules are emitted.
-  :func:`columnar_grounding` skips even that: the slot-compiled
-  variant of the pass emits a :class:`ColumnarGroundProgram` --
-  ground rules as parallel int arrays over interned fact ids, the
-  form the ``strategy="columnar"`` fixpoint and the circuit
-  constructions consume without any tuple conversion (DESIGN.md §9).
-
-* ``"naive"`` -- the original reference engine: a Boolean semi-naive
-  fixpoint (:func:`derivable_facts`) followed by a backtracking
-  nested-loop re-join of every rule, with only single-argument-position
-  indexing (narrowest index wins, every candidate row is scanned).
-  Kept verbatim for A/B benchmarking and as the oracle for the
-  equivalence tests (``tests/datalog/test_grounding_engines.py``,
-  ``tests/datalog/test_columnar_store.py``).
-
-All engines produce the *same* :class:`GroundProgram` (as a set of
-ground rules); only the number of join probes differs.  Probes are
-counted in the module-level :data:`GROUNDING_STATS`, the instrumented
-counter the benchmarks (``benchmarks/bench_ablation_grounding.py``,
-``benchmarks/bench_seminaive.py``,
+Join probes are counted in :class:`GroundingStats` (see
+:func:`count_join_probes`), the instrumented counter the benchmarks
+(``benchmarks/bench_ablation_grounding.py``,
 ``benchmarks/bench_columnar_store.py``) and the regression tests read.
 """
 
@@ -70,7 +52,6 @@ from typing import (
     Hashable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -79,13 +60,7 @@ from typing import (
 
 from array import array
 
-from ..config import (
-    DEFAULT_GROUNDING_ENGINE,
-    GROUNDING_ENGINES,
-    ConfigLike,
-    merge_legacy_knobs,
-)
-from .ast import Atom, Constant, DatalogError, Fact, Program, Rule, Variable
+from .ast import Atom, Constant, DatalogError, Fact, Program, Variable
 from .database import Database
 from .store import SymbolTable
 
@@ -95,8 +70,6 @@ __all__ = [
     "ColumnarGroundProgram",
     "GroundingStats",
     "GROUNDING_STATS",
-    "GROUNDING_ENGINES",
-    "DEFAULT_GROUNDING_ENGINE",
     "count_join_probes",
     "full_grounding",
     "relevant_grounding",
@@ -120,34 +93,20 @@ def shard_of_fact(predicate: str, ids: Tuple[int, ...], nshards: int) -> int:
         h = (h * 1000003 ^ sid) & 0xFFFFFFFF
     return h % nshards
 
-# The engine vocabulary and its default live in repro.config (the
-# shared knob module, DESIGN.md §10); the historical names are
-# re-exported here because this layer defined them first.
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    if engine is None:
-        return DEFAULT_GROUNDING_ENGINE
-    if engine not in GROUNDING_ENGINES:
-        raise ValueError(
-            f"unknown grounding engine {engine!r}; expected one of {GROUNDING_ENGINES}"
-        )
-    return engine
-
 
 @dataclass
 class GroundingStats:
-    """Instrumentation for the join engines.
+    """Instrumentation for the grounders.
 
     * ``probes`` -- candidate rows handed to the matcher: the unit of
-      join work both engines share, and the metric on which they
-      differ (the indexed engine's pattern lookups return only rows
-      that already agree on every bound position, so far fewer rows
-      are ever probed).
+      join work the production grounder and the naive oracle share,
+      and the metric on which they differ (the production pass's
+      pattern lookups return only rows that already agree on every
+      bound position, so far fewer rows are ever probed).
     * ``matches`` -- probes that extended the substitution.
     * ``ground_rules`` -- ground-rule instances emitted.
 
-    Engines write to the *context-local* stats object
+    Grounders write to the *context-local* stats object
     (:func:`count_join_probes` installs a private capture around the
     region it measures, so concurrent or interleaved measurements
     cannot pollute each other's counts).  Outside any capture they
@@ -156,8 +115,8 @@ class GroundingStats:
     supported::
 
         GROUNDING_STATS.reset()
-        relevant_grounding(program, db, engine="naive")
-        naive_probes = GROUNDING_STATS.probes
+        relevant_grounding(program, db)
+        probes = GROUNDING_STATS.probes
     """
 
     probes: int = 0
@@ -185,7 +144,7 @@ _GROUNDING_STATS_VAR: ContextVar[GroundingStats] = ContextVar(
 
 
 def _stats() -> GroundingStats:
-    """The stats object engines must write to in the current context."""
+    """The stats object grounders must write to in the current context."""
     return _GROUNDING_STATS_VAR.get()
 
 
@@ -234,70 +193,35 @@ class GroundRule:
         return f"{self.head} :- {body}"
 
 
+
 @dataclass
 class GroundProgram:
-    """The grounded program: ground rules indexed by head fact.
+    """The grounded program as tuples: ground rules indexed by head fact.
 
-    Besides ``by_head`` (head fact → ground rules), two derived
-    integer indexes are built once on first use and cached; they are
-    the backbone of the semi-naive engine
-    (:mod:`repro.datalog.seminaive`):
-
-    * :attr:`rules_by_idb_body` -- IDB fact → indices of the ground
-      rules whose **body** mentions it.  When a fact's value changes,
-      exactly these rules can produce a different term.
-    * :attr:`rule_indices_by_head` -- head fact → indices of the rules
-      deriving it, used to re-fold a head's ``⊕``-sum from cached
-      per-rule terms.
+    The decoded view of a :class:`ColumnarGroundProgram`
+    (:meth:`ColumnarGroundProgram.to_ground_program`), for consumers
+    that want :class:`Fact` objects -- the analyzer, proof-tree
+    enumeration, tests.  The fixpoint and the constructions run on
+    the id-space form and lower a tuple grounding they are handed
+    (:meth:`ColumnarGroundProgram.from_ground_program`).
     """
 
     program: Program
     rules: List[GroundRule]
     by_head: Dict[Fact, List[GroundRule]] = field(default_factory=dict)
-    _rules_by_idb_body: Optional[Dict[Fact, Tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _rule_indices_by_head: Optional[Dict[Fact, Tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.by_head:
             for rule in self.rules:
                 self.by_head.setdefault(rule.head, []).append(rule)
 
-    @property
-    def rules_by_idb_body(self) -> Mapping[Fact, Tuple[int, ...]]:
-        """IDB fact → indices of ground rules with that fact in the body."""
-        if self._rules_by_idb_body is None:
-            index: Dict[Fact, List[int]] = {}
-            for position, rule in enumerate(self.rules):
-                for fact in set(rule.idb_body):
-                    index.setdefault(fact, []).append(position)
-            self._rules_by_idb_body = {
-                fact: tuple(positions) for fact, positions in index.items()
-            }
-        return self._rules_by_idb_body
-
-    @property
-    def rule_indices_by_head(self) -> Mapping[Fact, Tuple[int, ...]]:
-        """Head fact → indices of the ground rules deriving it."""
-        if self._rule_indices_by_head is None:
-            index: Dict[Fact, List[int]] = {}
-            for position, rule in enumerate(self.rules):
-                index.setdefault(rule.head, []).append(position)
-            self._rule_indices_by_head = {
-                fact: tuple(positions) for fact, positions in index.items()
-            }
-        return self._rule_indices_by_head
-
     def rule_keys(self) -> FrozenSet[Tuple]:
         """The grounding as a set of order-independent rule identities
         ``(rule_index, head, idb_body, edb_body)``.
 
-        Engines emit the same ground rules in different orders, so
-        this is the identity the engine-equivalence tests and the
-        head-to-head benchmarks compare on.
+        Groundings of the same program may list their rules in
+        different orders, so this is the identity the oracle
+        cross-checks and the benchmarks compare on.
         """
         return frozenset(
             (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
@@ -338,8 +262,8 @@ class ColumnarGroundProgram:
     """The grounded program in id space: rules as parallel int arrays
     (DESIGN.md §9).
 
-    The columnar twin of :class:`GroundProgram`, produced by
-    :func:`columnar_grounding` without ever decoding a constant.
+    The production grounding, produced by :func:`columnar_grounding`
+    without ever decoding a constant.
     Every distinct ground fact is interned once into a dense *fact
     id* -- an index into the parallel ``fact_preds`` / ``fact_rows``
     tables -- and the ground rules are parallel ``array('q')`` runs:
@@ -350,10 +274,8 @@ class ColumnarGroundProgram:
       in original body-atom order;
     * ``edb_indptr`` / ``edb_flat`` -- the same for the EDB body.
 
-    The two adjacency indexes the semi-naive fixpoint consumes (the
-    dict-of-lists :attr:`GroundProgram.rules_by_idb_body` and
-    :attr:`GroundProgram.rule_indices_by_head` of the tuple world)
-    are CSR arrays over fact ids here (:meth:`by_body_csr`,
+    The two adjacency indexes the semi-naive fixpoint consumes are
+    CSR arrays over fact ids (:meth:`by_body_csr`,
     :meth:`by_head_csr`): one contiguous ``(indptr, data)`` pair
     each, built in two counting passes and probed by plain integer
     indexing -- no :class:`Fact` hashing anywhere on the fixpoint's
@@ -518,7 +440,6 @@ class ColumnarGroundProgram:
     def by_head_csr(self) -> Tuple[array, array]:
         """Fact id → positions of the ground rules deriving it (CSR).
 
-        The columnar :attr:`GroundProgram.rule_indices_by_head`:
         ``data[indptr[fid]:indptr[fid + 1]]`` lists rule positions in
         ascending order; non-head fact ids have empty ranges.
         """
@@ -530,9 +451,9 @@ class ColumnarGroundProgram:
 
     def by_body_csr(self) -> Tuple[array, array]:
         """Fact id → positions of the ground rules with that fact in
-        their IDB body (CSR; deduplicated per rule, like the tuple
-        index).  When a fact's value changes, exactly these rules can
-        produce a different ⊗-term."""
+        their IDB body (CSR; deduplicated per rule).  When a fact's
+        value changes, exactly these rules can produce a different
+        ⊗-term."""
         if self._by_body is None:
             keys = array("q")
             payload = array("q")
@@ -593,9 +514,8 @@ class ColumnarGroundProgram:
 
     def rule_keys(self) -> FrozenSet[Tuple]:
         """Same order-independent identity as
-        :meth:`GroundProgram.rule_keys`, so the engine/strategy
-        equivalence tests compare tuple and columnar groundings
-        directly."""
+        :meth:`GroundProgram.rule_keys`, so the oracle cross-checks
+        compare tuple and columnar groundings directly."""
         return frozenset(
             (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
             for rule in (self._decode_rule(position) for position in range(len(self)))
@@ -603,7 +523,7 @@ class ColumnarGroundProgram:
 
     def to_ground_program(self) -> GroundProgram:
         """Decode the whole grounding into the tuple form (boundary
-        use: feeding tuple-space strategies or legacy consumers)."""
+        use: the analyzer, proof trees, tests)."""
         return GroundProgram(
             self.program, [self._decode_rule(position) for position in range(len(self))]
         )
@@ -614,8 +534,9 @@ class ColumnarGroundProgram:
     ) -> "ColumnarGroundProgram":
         """Lower a tuple-space grounding into id space.
 
-        Lets the columnar fixpoint run on groundings produced by the
-        tuple engines or precomputed by callers.  Interns into a
+        Lets the fixpoint and the constructions run on tuple
+        groundings callers hand them (e.g. the test oracle's).
+        Interns into a
         private table by default: the lowering is self-contained, so
         it must not grow the shared default table.
         """
@@ -643,35 +564,25 @@ Row = Tuple[Hashable, ...]
 
 
 class _FactIndex:
-    """Per-predicate fact store with pattern-keyed hash indexes.
+    """Per-predicate tuple fact store with single-position indexes.
 
-    Two access paths share one store:
-
-    * :meth:`lookup` (indexed engine) -- given an atom and a partial
-      substitution, the set of *bound* argument positions and their
-      values form a pattern key; a hash index for that position tuple
-      is built lazily (one pass over the relation, amortized across
-      all later lookups) and the candidate set is a single dict
-      lookup returning only rows that agree on **every** bound
-      position.
-    * :meth:`candidates` (naive engine) -- the historical heuristic:
-      pick the narrowest *single*-position index among the bound
-      positions, or scan the whole relation when nothing is bound.
-      Rows still need a full :func:`_match` because only one position
-      was used for filtering.
-
-    Pattern indexes are maintained incrementally by :meth:`insert`, so
-    lazily built indexes stay correct as derived IDB facts stream in
-    during the semi-naive grounding pass.
+    The plain tuple join behind :func:`_join`: the UCQ evaluators and
+    the test oracle use it, the production grounder does not.
+    :meth:`candidates` picks the narrowest *single*-position index
+    among an atom's bound positions, or scans the whole relation when
+    nothing is bound; rows still need a full :func:`_match` because
+    only one position was used for filtering.  Indexes are built
+    lazily and maintained by :meth:`insert`, so they stay correct as
+    derived facts stream in.
     """
 
     def __init__(self) -> None:
         self._tuples: Dict[str, List[Row]] = {}
         self._seen: Dict[str, Set[Row]] = {}
-        # (predicate, bound-position tuple) → {pattern key → rows}
-        self._patterns: Dict[Tuple[str, Tuple[int, ...]], Dict[Tuple, List[Row]]] = {}
-        # predicate → position tuples with a built pattern index
-        self._built: Dict[str, List[Tuple[int, ...]]] = {}
+        # (predicate, position) → {value → rows}
+        self._positions: Dict[Tuple[str, int], Dict[Hashable, List[Row]]] = {}
+        # predicate → positions with a built index
+        self._built: Dict[str, List[int]] = {}
 
     def insert(self, fact: Fact) -> bool:
         seen = self._seen.setdefault(fact.predicate, set())
@@ -679,57 +590,27 @@ class _FactIndex:
             return False
         seen.add(fact.args)
         self._tuples.setdefault(fact.predicate, []).append(fact.args)
-        for positions in self._built.get(fact.predicate, ()):
-            if len(fact.args) <= max(positions):
-                continue  # too short for this pattern (mixed-arity input)
-            key = tuple(fact.args[i] for i in positions)
-            self._patterns[(fact.predicate, positions)].setdefault(key, []).append(fact.args)
+        for position in self._built.get(fact.predicate, ()):
+            if position < len(fact.args):  # mixed-arity inputs
+                table = self._positions[(fact.predicate, position)]
+                table.setdefault(fact.args[position], []).append(fact.args)
         return True
 
-    def size(self, predicate: str) -> int:
-        return len(self._tuples.get(predicate, ()))
-
-    def contains(self, fact: Fact) -> bool:
-        return fact.args in self._seen.get(fact.predicate, ())
-
-    def _pattern(self, predicate: str, positions: Tuple[int, ...]) -> Dict[Tuple, List[Row]]:
-        key = (predicate, positions)
-        table = self._patterns.get(key)
+    def _index(self, predicate: str, position: int) -> Dict[Hashable, List[Row]]:
+        key = (predicate, position)
+        table = self._positions.get(key)
         if table is None:
             table = {}
-            width = max(positions) + 1
             for row in self._tuples.get(predicate, ()):
-                # Rows too short for the pattern (mixed-arity inputs)
-                # cannot match any atom presenting these positions.
-                if len(row) >= width:
-                    table.setdefault(tuple(row[i] for i in positions), []).append(row)
-            self._patterns[key] = table
-            self._built.setdefault(predicate, []).append(positions)
+                if position < len(row):
+                    table.setdefault(row[position], []).append(row)
+            self._positions[key] = table
+            self._built.setdefault(predicate, []).append(position)
         return table
 
-    def _bound_pattern(
-        self, atom: Atom, theta: Mapping[Variable, Constant]
-    ) -> Tuple[Tuple[int, ...], Tuple[Hashable, ...]]:
-        positions: List[int] = []
-        values: List[Hashable] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                positions.append(position)
-                values.append(term.value)
-            elif term in theta:
-                positions.append(position)
-                values.append(theta[term].value)
-        return tuple(positions), tuple(values)
-
-    def lookup(self, atom: Atom, theta: Mapping[Variable, Constant]) -> Sequence[Row]:
-        """Rows agreeing with *atom* on every bound position: O(1) + output."""
-        positions, values = self._bound_pattern(atom, theta)
-        if not positions:
-            return self._tuples.get(atom.predicate, ())
-        return self._pattern(atom.predicate, positions).get(values, ())
-
-    def candidates(self, atom: Atom, theta: Mapping[Variable, Constant]) -> Sequence[Row]:
-        """Naive-engine candidates: narrowest single-position index, else scan."""
+    def candidates(self, atom: Atom, theta: Dict[Variable, Constant]) -> Sequence[Row]:
+        """Narrowest single-position index among the bound positions,
+        else the whole relation."""
         best: Optional[Sequence[Row]] = None
         for position, term in enumerate(atom.terms):
             value: Optional[Hashable] = None
@@ -738,7 +619,7 @@ class _FactIndex:
             elif term in theta:
                 value = theta[term].value
             if value is not None:
-                rows = self._pattern(atom.predicate, (position,)).get((value,), ())
+                rows = self._index(atom.predicate, position).get(value, ())
                 if best is None or len(rows) < len(best):
                     best = rows
         if best is None:
@@ -773,18 +654,13 @@ def _match(
     return extension
 
 
-# ---------------------------------------------------------------------------
-# Naive reference engine: single-position candidates, no reordering.
-# ---------------------------------------------------------------------------
-
-
 def _join(
     body: Sequence[Atom], index: _FactIndex, theta: Dict[Variable, Constant]
 ) -> Iterator[Dict[Variable, Constant]]:
     """All substitutions grounding *body* against *index* (backtracking).
 
     Atoms are joined in the order given; each candidate row scanned
-    counts one probe in :data:`GROUNDING_STATS`.
+    counts one probe in the current :class:`GroundingStats`.
     """
     if not body:
         yield theta
@@ -799,602 +675,6 @@ def _join(
             yield from _join(rest, index, extended)
 
 
-# ---------------------------------------------------------------------------
-# Indexed engine: selectivity ordering + exact-pattern lookups.
-# ---------------------------------------------------------------------------
-
-
-def _order_body(
-    body: Sequence[Atom], index: _FactIndex, bound: Set[Variable]
-) -> List[Atom]:
-    """Greedy selectivity order: most bound terms first, smallest relation
-    breaks ties (DESIGN.md §5).
-
-    ``bound`` seeds the set of already-bound variables (e.g. the
-    variables of a delta atom joined first); after picking an atom its
-    variables count as bound for the rest of the body.  ``O(k²)`` in
-    the body length ``k`` -- negligible next to the join itself.
-    """
-    remaining = list(body)
-    ordered: List[Atom] = []
-    bound = set(bound)
-    while remaining:
-        best_at = 0
-        best_key: Optional[Tuple[int, int]] = None
-        for at, atom in enumerate(remaining):
-            bound_terms = sum(
-                1 for t in atom.terms if isinstance(t, Constant) or t in bound
-            )
-            key = (-bound_terms, index.size(atom.predicate))
-            if best_key is None or key < best_key:
-                best_at, best_key = at, key
-        atom = remaining.pop(best_at)
-        ordered.append(atom)
-        bound.update(atom.variables)
-    return ordered
-
-
-def _join_indexed(
-    body: Sequence[Atom], index: _FactIndex, theta: Dict[Variable, Constant]
-) -> Iterator[Dict[Variable, Constant]]:
-    """Backtracking join over exact-pattern lookups.
-
-    *body* must already be selectivity-ordered; every row returned by
-    :meth:`_FactIndex.lookup` agrees with the atom on all bound
-    positions, so probes are spent only on rows that can fail through
-    repeated variables within the atom.
-    """
-    if not body:
-        yield theta
-        return
-    stats = _stats()
-    first, rest = body[0], body[1:]
-    for row in index.lookup(first, theta):
-        stats.probes += 1
-        extended = _match(first, row, theta)
-        if extended is not None:
-            stats.matches += 1
-            yield from _join_indexed(rest, index, extended)
-
-
-class _SeminaiveGrounder:
-    """The fused pass: Boolean fixpoint and ground-rule emission in one
-    delta-driven sweep (DESIGN.md §5).
-
-    Round 0 joins every rule in full against the input database (IDB
-    relations are usually empty, so recursive rules fail fast after a
-    0-row index lookup).  Round ``t ≥ 1`` re-joins only rules with a
-    body atom over a delta predicate, seeding the join with a delta
-    fact in each IDB position in turn; the remaining atoms are
-    selectivity-ordered and joined against the full index.  Only facts
-    *new to the index* enter the delta (a derived head that was
-    already resident as an input-database fact seeds nothing), so a
-    ground instance is discovered exactly in the round after its last
-    body fact entered the index and never in two different rounds; a
-    per-round substitution key (constants only, cleared every round)
-    removes the within-round duplicates that arise when two body facts
-    are both in the delta.
-
-    This replaces the naive engine's two passes (Boolean fixpoint,
-    then a from-scratch re-join of every rule) and its global
-    ``(rule, head, idb_body, edb_body)`` dedup tuples.
-    """
-
-    def __init__(self, program: Program, database: Database, collect_rules: bool):
-        self.program = program
-        self.collect_rules = collect_rules
-        self.idbs = program.idb_predicates
-        self.index = _FactIndex()
-        for fact in database.facts():
-            self.index.insert(fact)
-        # Per-rule variable order for the dedup key, and body splits in
-        # original atom order (GroundRule bodies keep rule order).
-        self.var_order: List[Tuple[Variable, ...]] = [
-            tuple(sorted(rule.variables, key=lambda v: v.name)) for rule in program.rules
-        ]
-        self.ground_rules: List[GroundRule] = []
-        self.derived: Set[Fact] = set()
-        self.iterations = 0
-        self.stats = _stats()
-
-    def _emit(
-        self,
-        rule_index: int,
-        rule: Rule,
-        theta: Mapping[Variable, Constant],
-        round_seen: Set[Tuple],
-    ) -> Optional[Fact]:
-        key = (rule_index, *[theta[v].value for v in self.var_order[rule_index]])
-        if key in round_seen:
-            return None
-        round_seen.add(key)
-        head = rule.head.substitute(theta).to_fact()
-        if self.collect_rules:
-            idb_body = tuple(
-                a.substitute(theta).to_fact() for a in rule.body if a.predicate in self.idbs
-            )
-            edb_body = tuple(
-                a.substitute(theta).to_fact()
-                for a in rule.body
-                if a.predicate not in self.idbs
-            )
-            self.ground_rules.append(GroundRule(head, idb_body, edb_body, rule_index))
-            self.stats.ground_rules += 1
-        return head
-
-    def run(self) -> "_SeminaiveGrounder":
-        index = self.index
-        derived = self.derived
-        stats = self.stats
-        fresh: Set[Fact] = set()
-        round_seen: Set[Tuple] = set()
-
-        # Round 0: full (selectivity-ordered) join of every rule.
-        for rule_index, rule in enumerate(self.program.rules):
-            ordered = _order_body(rule.body, index, set())
-            for theta in _join_indexed(ordered, index, {}):
-                head = self._emit(rule_index, rule, theta, round_seen)
-                if head is not None and head not in derived:
-                    fresh.add(head)
-        self.iterations = 1
-
-        while fresh:
-            self.iterations += 1
-            delta_by_pred: Dict[str, List[Fact]] = {}
-            for fact in sorted(fresh, key=repr):
-                derived.add(fact)
-                # Only facts NEW to the index seed delta joins: a head
-                # that was already resident (an IDB-predicate fact in
-                # the input database) had all its instances discovered
-                # in round 0, and re-seeding would re-emit them.
-                if index.insert(fact):
-                    delta_by_pred.setdefault(fact.predicate, []).append(fact)
-            fresh = set()
-            round_seen.clear()
-            for rule_index, rule in enumerate(self.program.rules):
-                for position, atom in enumerate(rule.body):
-                    delta_facts = delta_by_pred.get(atom.predicate)
-                    if not delta_facts:
-                        continue
-                    rest = [a for at, a in enumerate(rule.body) if at != position]
-                    # Order once per (rule, delta position): the bound set
-                    # is the delta atom's variables whichever fact seeds it,
-                    # and index sizes are stable within a round.
-                    ordered = _order_body(rest, index, set(atom.variables))
-                    for delta_fact in delta_facts:
-                        stats.probes += 1
-                        seed = _match(atom, delta_fact.args, {})
-                        if seed is None:
-                            continue
-                        stats.matches += 1
-                        for theta in _join_indexed(ordered, index, seed):
-                            head = self._emit(rule_index, rule, theta, round_seen)
-                            if head is not None and head not in derived:
-                                fresh.add(head)
-        return self
-
-
-# ---------------------------------------------------------------------------
-# Columnar engine: interned id-space joins over the array-backed store.
-# ---------------------------------------------------------------------------
-
-
-class _CompiledAtom:
-    """An atom lowered to id space against one symbol table.
-
-    ``terms`` mirrors the atom's term tuple with every
-    :class:`Constant` replaced by its interned id (ints and
-    :class:`Variable` objects never collide, so the entry type is the
-    discriminant).  ``const_items``/``var_items`` pre-split the
-    positions so the join's bound-pattern computation and the matcher
-    never re-inspect term types.
-
-    *intern* must be True only for atoms that are **instantiated**
-    (rule heads): their constants become store rows, so they need real
-    ids.  Lookup-side atoms (rule bodies, EDB joins) use the
-    non-inserting :meth:`~repro.datalog.store.SymbolTable.get` -- a
-    constant the table has never seen can match no row, now or in any
-    later round (every id a derived fact can carry was interned from
-    the EDB or from a head compiled before any join runs), so the atom
-    is marked :attr:`impossible` instead of growing the shared table.
-    """
-
-    __slots__ = ("predicate", "terms", "const_items", "var_items", "variables", "impossible")
-
-    def __init__(self, atom: Atom, symbols, intern: bool = False) -> None:
-        self.predicate = atom.predicate
-        self.impossible = False
-        entries: List[object] = []
-        const_items: List[Tuple[int, int]] = []
-        var_items: List[Tuple[int, Variable]] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                sid = symbols.intern(term.value) if intern else symbols.get(term.value)
-                if sid is None:
-                    self.impossible = True
-                entries.append(sid)
-                const_items.append((position, sid))
-            else:
-                entries.append(term)
-                var_items.append((position, term))
-        self.terms = tuple(entries)
-        self.const_items = tuple(const_items)
-        self.var_items = tuple(var_items)
-        self.variables = tuple(dict.fromkeys(v for _, v in var_items))
-
-
-def _bound_pattern_ids(
-    catom: _CompiledAtom, theta: Mapping[Variable, int]
-) -> Tuple[Tuple[int, ...], object]:
-    """Bound positions and their index key (id space).
-
-    Returns ``(positions, key)`` where *key* is a bare id for a single
-    bound position (the contiguous ``array('q')`` index path of
-    :mod:`repro.datalog.store`) and a tuple of ids otherwise.
-    """
-    items = list(catom.const_items)
-    for position, var in catom.var_items:
-        sid = theta.get(var)
-        if sid is not None:
-            items.append((position, sid))
-    if not items:
-        return (), ()
-    items.sort()
-    positions = tuple(p for p, _ in items)
-    if len(items) == 1:
-        return positions, items[0][1]
-    return positions, tuple(v for _, v in items)
-
-
-def _match_ids(
-    catom: _CompiledAtom, row: Tuple[int, ...], theta: Dict[Variable, int]
-) -> Optional[Dict[Variable, int]]:
-    """Id-space twin of :func:`_match`: extend *theta* so catom θ = row."""
-    for position, sid in catom.const_items:
-        if row[position] != sid:
-            return None
-    extended = dict(theta)
-    for position, var in catom.var_items:
-        sid = row[position]
-        bound = extended.get(var)
-        if bound is None:
-            extended[var] = sid
-        elif bound != sid:
-            return None
-    return extended
-
-
-def _order_catoms(
-    catoms: Sequence[_CompiledAtom], store, bound: Set[Variable]
-) -> List[_CompiledAtom]:
-    """Greedy selectivity order for compiled atoms; same heuristic as
-    :func:`_order_body` (most bound term positions first, smallest
-    relation breaks ties)."""
-    remaining = list(catoms)
-    ordered: List[_CompiledAtom] = []
-    bound = set(bound)
-    while remaining:
-        best_at = 0
-        best_key: Optional[Tuple[int, int]] = None
-        for at, catom in enumerate(remaining):
-            bound_terms = len(catom.const_items) + sum(
-                1 for _, v in catom.var_items if v in bound
-            )
-            key = (-bound_terms, store.size(catom.predicate, len(catom.terms)))
-            if best_key is None or key < best_key:
-                best_at, best_key = at, key
-        catom = remaining.pop(best_at)
-        ordered.append(catom)
-        bound.update(catom.variables)
-    return ordered
-
-
-def _join_columnar(
-    body: Sequence[_CompiledAtom], store, theta: Dict[Variable, int]
-) -> Iterator[Dict[Variable, int]]:
-    """Backtracking id-space join over bisect-range lookups.
-
-    *body* must already be selectivity-ordered.  A candidate fetch is
-    one binary search on the bound pattern's sorted-id index
-    (:meth:`~repro.datalog.store.ColumnarRelation.lookup`); every row
-    it returns agrees with the atom on all bound positions, so -- as
-    with the indexed engine -- probes are spent only on rows that can
-    still fail through repeated variables within the atom.
-    """
-    if not body:
-        yield theta
-        return
-    stats = _stats()
-    first, rest = body[0], body[1:]
-    if first.impossible:  # a constant the store has never interned
-        return
-    relation = store.relation(first.predicate, len(first.terms))
-    if relation is None:
-        return
-    positions, key = _bound_pattern_ids(first, theta)
-    for row_index in relation.lookup(positions, key):
-        stats.probes += 1
-        extended = _match_ids(first, relation.row(row_index), theta)
-        if extended is not None:
-            stats.matches += 1
-            yield from _join_columnar(rest, store, extended)
-
-
-class _ColumnarGrounder:
-    """The fused semi-naive pass of :class:`_SeminaiveGrounder`, run
-    entirely in id space over a :class:`~repro.datalog.store.ColumnarStore`.
-
-    The database's lazily materialized store is :meth:`copied
-    <repro.datalog.store.ColumnarStore.copy>` (block array copies, no
-    re-interning) so derived facts can be appended without mutating
-    the shared EDB snapshot.  Rule atoms are lowered once per run
-    (:class:`_CompiledAtom`), substitutions map variables to ids, the
-    per-round dedup key is a tuple of ints, and the round-``t`` delta
-    is read back as :class:`~repro.datalog.store.DeltaView` windows
-    between two store watermarks -- duplicates never enter a delta
-    because the store's append log is a set.  Facts are decoded (and
-    cached) only at emission, so a ground rule's constants are
-    re-materialized once per distinct fact, not once per probe.
-    """
-
-    def __init__(self, program: Program, database: Database, collect_rules: bool):
-        self.program = program
-        self.collect_rules = collect_rules
-        idbs = program.idb_predicates
-        self.store = database.columnar_store().copy()
-        self.symbols = self.store.symbols
-        symbols = self.symbols
-        # Heads are compiled first, with interning: every id a derived
-        # fact can carry afterwards comes from the EDB snapshot or a
-        # head constant, which is what lets body atoms use the
-        # non-inserting lookup (see _CompiledAtom).
-        self.compiled_heads = [
-            _CompiledAtom(rule.head, symbols, intern=True) for rule in program.rules
-        ]
-        self.compiled_bodies = [
-            tuple(_CompiledAtom(atom, symbols) for atom in rule.body)
-            for rule in program.rules
-        ]
-        self.idb_flags = [
-            tuple(atom.predicate in idbs for atom in rule.body) for rule in program.rules
-        ]
-        self.var_order: List[Tuple[Variable, ...]] = [
-            tuple(sorted(rule.variables, key=lambda v: v.name)) for rule in program.rules
-        ]
-        self.ground_rules: List[GroundRule] = []
-        self.derived: Set[Tuple[str, Tuple[int, ...]]] = set()
-        self.iterations = 0
-        self.stats = _stats()
-        self._fact_cache: Dict[Tuple[str, Tuple[int, ...]], Fact] = {}
-
-    def _fact(self, predicate: str, ids: Tuple[int, ...]) -> Fact:
-        """Decode an id row to a :class:`Fact`, once per distinct fact."""
-        key = (predicate, ids)
-        fact = self._fact_cache.get(key)
-        if fact is None:
-            fact = Fact(predicate, self.symbols.decode_row(ids))
-            self._fact_cache[key] = fact
-        return fact
-
-    @staticmethod
-    def _instantiate(terms: Tuple, theta: Mapping[Variable, int]) -> Tuple[int, ...]:
-        return tuple(t if isinstance(t, int) else theta[t] for t in terms)
-
-    def derived_facts(self) -> FrozenSet[Fact]:
-        return frozenset(self._fact(pred, ids) for pred, ids in self.derived)
-
-    def _emit(
-        self,
-        rule_index: int,
-        theta: Mapping[Variable, int],
-        round_seen: Set[Tuple],
-    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
-        key = (rule_index, *[theta[v] for v in self.var_order[rule_index]])
-        if key in round_seen:
-            return None
-        round_seen.add(key)
-        head = self.compiled_heads[rule_index]
-        head_ids = self._instantiate(head.terms, theta)
-        if self.collect_rules:
-            idb_body: List[Fact] = []
-            edb_body: List[Fact] = []
-            for catom, is_idb in zip(
-                self.compiled_bodies[rule_index], self.idb_flags[rule_index]
-            ):
-                fact = self._fact(catom.predicate, self._instantiate(catom.terms, theta))
-                (idb_body if is_idb else edb_body).append(fact)
-            self.ground_rules.append(
-                GroundRule(
-                    self._fact(head.predicate, head_ids),
-                    tuple(idb_body),
-                    tuple(edb_body),
-                    rule_index,
-                )
-            )
-            self.stats.ground_rules += 1
-        return (head.predicate, head_ids)
-
-    def run(self) -> "_ColumnarGrounder":
-        store = self.store
-        derived = self.derived
-        stats = self.stats
-        fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
-        round_seen: Set[Tuple] = set()
-
-        # Round 0: full (selectivity-ordered) join of every rule.
-        for rule_index, body in enumerate(self.compiled_bodies):
-            ordered = _order_catoms(body, store, set())
-            for theta in _join_columnar(ordered, store, {}):
-                head = self._emit(rule_index, theta, round_seen)
-                if head is not None and head not in derived:
-                    fresh.add(head)
-        self.iterations = 1
-
-        while fresh:
-            self.iterations += 1
-            mark = store.watermark()
-            # Deterministic insertion order: ids are dense ints, so the
-            # (predicate, id row) sort mirrors the other engines'
-            # repr-sorted insertion without decoding anything.
-            for predicate, ids in sorted(fresh):
-                derived.add((predicate, ids))
-                store.insert_ids(predicate, ids)
-            # Rows appended above are exactly the facts new to the
-            # store: re-derived duplicates (e.g. IDB facts resident in
-            # the input database) deduplicate inside the append log and
-            # therefore seed nothing, matching _SeminaiveGrounder.
-            deltas = store.deltas_since(mark)
-            fresh = set()
-            round_seen.clear()
-            for rule_index, body in enumerate(self.compiled_bodies):
-                for position, catom in enumerate(body):
-                    view = deltas.get((catom.predicate, len(catom.terms)))
-                    if view is None:
-                        continue
-                    rest = [c for at, c in enumerate(body) if at != position]
-                    ordered = _order_catoms(rest, store, set(catom.variables))
-                    for row in view.id_rows():
-                        stats.probes += 1
-                        seed = _match_ids(catom, row, {})
-                        if seed is None:
-                            continue
-                        stats.matches += 1
-                        for theta in _join_columnar(ordered, store, seed):
-                            head = self._emit(rule_index, theta, round_seen)
-                            if head is not None and head not in derived:
-                                fresh.add(head)
-        return self
-
-
-# ---------------------------------------------------------------------------
-# Public strategies.
-# ---------------------------------------------------------------------------
-
-
-def derivable_facts(
-    program: Program,
-    database: Database,
-    engine: Optional[str] = None,
-    ground: Optional["ColumnarGroundProgram"] = None,
-    config: ConfigLike = None,
-) -> Tuple[FrozenSet[Fact], int]:
-    """Boolean fixpoint: ``(derivable IDB facts, iterations)``.
-
-    The iteration count is the number of rounds until no new fact
-    appears -- the Boolean fixpoint iteration of Definition 4.1 used
-    by the empirical boundedness probe; it is identical under every
-    engine.  The indexed and columnar engines run their fused
-    semi-naive pass without emitting ground rules; the naive engine is
-    the historical loop re-joining every rule each round.
-
-    A precomputed :class:`ColumnarGroundProgram` (from
-    :func:`columnar_grounding`, which records its pass's round count)
-    already carries both answers; pass it as *ground* to skip the
-    closure entirely.  A grounding with no recorded round count (e.g.
-    one lowered via
-    :meth:`ColumnarGroundProgram.from_ground_program`) is rejected
-    rather than silently recomputed against the live database.
-    """
-    if ground is not None:
-        if ground.iterations is None:
-            raise ValueError(
-                "ground carries no Boolean round count (only "
-                "columnar_grounding results do); drop the argument to "
-                "recompute the closure from the database"
-            )
-        return ground.idb_facts, ground.iterations
-    config = merge_legacy_knobs("derivable_facts", config, engine=("engine", engine))
-    engine = _resolve_engine(config.engine)
-    if engine == "naive":
-        return _derivable_facts_naive(program, database)
-    if engine == "columnar":
-        grounder = _ColumnarGrounder(program, database, collect_rules=False).run()
-        return grounder.derived_facts(), grounder.iterations
-    grounder = _SeminaiveGrounder(program, database, collect_rules=False).run()
-    return frozenset(grounder.derived), grounder.iterations
-
-
-def _derivable_facts_naive(
-    program: Program, database: Database
-) -> Tuple[FrozenSet[Fact], int]:
-    """Reference Boolean fixpoint: full re-join each round (naive engine)."""
-    idbs = program.idb_predicates
-    index = _FactIndex()
-    for fact in database.facts():
-        index.insert(fact)
-
-    derived: Set[Fact] = set()
-    delta: Set[Fact] = set()
-    iterations = 0
-    # Round 0: fire every rule against EDB-only bindings (plus any IDBs
-    # derived so far); iterate to fixpoint with delta-driven rounds.
-    while True:
-        fresh: Set[Fact] = set()
-        for rule in program.rules:
-            requires_delta = iterations > 0
-            idb_atoms = rule.idb_atoms(idbs)
-            if requires_delta and idb_atoms:
-                # Only re-derive when at least one IDB atom can bind a delta
-                # fact; cheap filter on predicates.
-                if not any(a.predicate in {f.predicate for f in delta} for a in idb_atoms):
-                    continue
-            for theta in _join(rule.body, index, {}):
-                head = rule.head.substitute(theta).to_fact()
-                if head not in derived and head not in fresh:
-                    # Semi-naive soundness check: after round 0, require a
-                    # delta fact in the body to avoid re-deriving.
-                    if requires_delta and idb_atoms:
-                        body_facts = {a.substitute(theta).to_fact() for a in idb_atoms}
-                        if not body_facts & delta:
-                            continue
-                    fresh.add(head)
-        iterations += 1
-        if not fresh:
-            break
-        for fact in fresh:
-            derived.add(fact)
-            index.insert(fact)
-        delta = fresh
-    return frozenset(derived), iterations
-
-
-def relevant_grounding(
-    program: Program,
-    database: Database,
-    engine: Optional[str] = None,
-    config: ConfigLike = None,
-) -> GroundProgram:
-    """Ground rules whose body facts are all derivable (see module doc).
-
-    *engine* selects the join engine (default
-    :data:`DEFAULT_GROUNDING_ENGINE`):
-
-    * ``"indexed"`` -- one fused semi-naive pass; cost proportional to
-      the bindings enumerated, with dict-lookup index probes.
-    * ``"columnar"`` -- the same fused pass in interned id space over
-      the array-backed store (:mod:`repro.datalog.store`), with
-      bisect-range index probes and delta-view rounds.
-    * ``"naive"`` -- Boolean fixpoint then a from-scratch re-join of
-      every rule; ``O(rounds × Σ candidate rows scanned)``.
-
-    All return the same set of ground rules (the equivalence is
-    property-tested); only probe counts and rule order differ.
-
-    ``engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)`` (the :mod:`repro.api`
-    facade, DESIGN.md §10); it still works but warns.
-    """
-    config = merge_legacy_knobs("relevant_grounding", config, engine=("engine", engine))
-    engine = _resolve_engine(config.engine)
-    if engine == "naive":
-        return _relevant_grounding_naive(program, database)
-    if engine == "columnar":
-        grounder = _ColumnarGrounder(program, database, collect_rules=True).run()
-        return GroundProgram(program, grounder.ground_rules)
-    grounder = _SeminaiveGrounder(program, database, collect_rules=True).run()
-    return GroundProgram(program, grounder.ground_rules)
-
-
 class _SlotAtom:
     """An atom lowered to id space with *rule-local variable slots*.
 
@@ -1406,10 +686,16 @@ class _SlotAtom:
     id and variable slot ``s`` as ``-(s + 1)`` -- one int tuple per
     atom, instantiated against a flat ``theta`` list by sign check.
 
-    ``const_items``/``var_items`` pre-split the positions exactly like
-    :class:`_CompiledAtom`; *intern* follows the same head/body rule
-    (heads intern their constants, body lookups use the non-inserting
-    probe and mark the atom :attr:`impossible` on a miss).
+    ``const_items``/``var_items`` pre-split the positions so the join
+    never re-inspects term types.  *intern* must be True only for
+    atoms that are **instantiated** (rule heads): their constants
+    become store rows, so they need real ids.  Lookup-side atoms use
+    the non-inserting :meth:`~repro.datalog.store.SymbolTable.get` --
+    a constant the table has never seen can match no row, now or in
+    any later round (every id a derived fact can carry was interned
+    from the EDB or from a head compiled before any join runs), so
+    the atom is marked :attr:`impossible` instead of growing the
+    shared table.
     """
 
     __slots__ = ("predicate", "arity", "terms", "const_items", "var_items", "slots", "impossible")
@@ -1466,9 +752,14 @@ def _row_builder(terms: Tuple[int, ...]):
 def _order_slot_atoms(
     atoms: Sequence[_SlotAtom], store, bound: Set[int]
 ) -> List[_SlotAtom]:
-    """Greedy selectivity order over slot atoms; the same heuristic as
-    :func:`_order_body` / :func:`_order_catoms` (most bound term
-    positions first, smallest relation breaks ties)."""
+    """Greedy selectivity order over slot atoms: most bound term
+    positions first, smallest relation breaks ties (DESIGN.md §5).
+
+    ``bound`` seeds the already-bound slots (e.g. those of a delta
+    atom joined first); after picking an atom its slots count as
+    bound for the rest of the body.  ``O(k²)`` in the body length
+    ``k`` -- negligible next to the join itself.
+    """
     remaining = list(atoms)
     ordered: List[_SlotAtom] = []
     bound = set(bound)
@@ -1494,8 +785,8 @@ def _compile_slot_plan(
     """Freeze an ordered body into per-atom join steps.
 
     Which slots are bound when each atom's turn comes is fully
-    determined by the order, so the bound-pattern computation that the
-    dict-based joins redo per candidate binding happens **once** here:
+    determined by the order, so the bound-pattern computation happens
+    **once** here, not per candidate binding:
     each step carries its lookup position tuple, a key template
     (constant id, or slot to read from ``theta``), and the runtime
     bind-or-check items for still-unbound slots.  Compiled plans are
@@ -1538,9 +829,9 @@ def _enum_slot_plan(
     (read it at the yield point) and restored via an undo trail on
     backtrack -- no per-match dict copies.  Candidate cells are read
     straight out of the relation's columns, so no row tuple is built
-    per probe either.  Probe/match accounting matches the dict-based
-    joins: one probe per candidate row, one match per row that extends
-    the binding.
+    per probe either.  Probe/match accounting matches :func:`_join`:
+    one probe per candidate row, one match per row that extends the
+    binding.
     """
     if at == len(plan):
         yield None
@@ -1588,10 +879,21 @@ class _ColumnarProgramGrounder:
     """The fused semi-naive pass emitting a
     :class:`ColumnarGroundProgram` -- id space end to end.
 
-    The third grounder, behind :func:`columnar_grounding`: the same
-    delta-driven round structure as :class:`_ColumnarGrounder` (store
-    copy, watermark/:class:`~repro.datalog.store.DeltaView` rounds,
-    only facts new to the store seed joins), but
+    Round 0 joins every rule in full against the input database.
+    Round ``t ≥ 1`` re-joins only rules with a body atom over a delta
+    predicate, seeding the join with each delta row in that position;
+    the remaining atoms are selectivity-ordered and joined against the
+    full store.  The database's store is :meth:`copied
+    <repro.datalog.store.ColumnarStore.copy>` (block array copies, no
+    re-interning) so derived facts can be appended without mutating
+    the shared EDB snapshot, and the round-``t`` delta is read back as
+    :class:`~repro.datalog.store.DeltaView` windows between two store
+    watermarks.  Only facts *new to the store* enter a delta (a
+    derived head already resident as an input-database fact seeds
+    nothing), so a ground instance is discovered exactly in the round
+    after its last body fact arrived and never in two rounds; a
+    per-round slot-vector key removes the within-round duplicates
+    that arise when two body facts are both in the delta.
 
     * rules are slot-compiled once (:class:`_SlotAtom`): substitutions
       are flat int lists indexed by slot, extended/rolled back through
@@ -1634,8 +936,8 @@ class _ColumnarProgramGrounder:
                 for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))
             }
             self.slot_counts.append(len(slot_of))
-            # Heads first, with interning (see _CompiledAtom on why
-            # body atoms may use the non-inserting probe).
+            # Heads first, with interning (see _SlotAtom on why body
+            # atoms may use the non-inserting probe).
             head = _SlotAtom(rule.head, symbols, slot_of, intern=True)
             body = tuple(_SlotAtom(atom, symbols, slot_of) for atom in rule.body)
             self.bodies.append(body)
@@ -1773,19 +1075,21 @@ class _ColumnarProgramGrounder:
         stats.ground_rules += len(self.cground)
         return self
 
+# ---------------------------------------------------------------------------
+# Public groundings.
+# ---------------------------------------------------------------------------
+
 
 def columnar_grounding(
     program: Program, database: Database, workers: Optional[int] = None
 ) -> ColumnarGroundProgram:
     """Relevant grounding straight into id space (DESIGN.md §9).
 
-    Runs the same fused delta-driven pass as
-    ``relevant_grounding(engine="columnar")`` but emits a
+    Runs the fused delta-driven pass and emits a
     :class:`ColumnarGroundProgram` -- ground rules as parallel int
-    arrays over interned fact ids -- instead of decoding every ground
-    rule back into :class:`Fact` tuples.  The ``strategy="columnar"``
-    fixpoint (:mod:`repro.datalog.seminaive`) and the circuit
-    constructions consume it directly; its
+    arrays over interned fact ids.  The fixpoint
+    (:mod:`repro.datalog.seminaive`) and the circuit constructions
+    consume it directly; its
     :meth:`~ColumnarGroundProgram.to_ground_program` /
     :meth:`~ColumnarGroundProgram.rule_keys` recover the tuple form at
     the boundary.  The result's ``iterations`` records the Boolean
@@ -1806,42 +1110,50 @@ def columnar_grounding(
     return cground
 
 
-def _relevant_grounding_naive(program: Program, database: Database) -> GroundProgram:
-    """Reference implementation: fixpoint, then re-join every rule."""
-    derived, _ = _derivable_facts_naive(program, database)
-    idbs = program.idb_predicates
-    index = _FactIndex()
-    for fact in database.facts():
-        index.insert(fact)
-    for fact in derived:
-        index.insert(fact)
+def relevant_grounding(program: Program, database: Database) -> GroundProgram:
+    """Ground rules whose body facts are all derivable (see module doc),
+    decoded into the tuple view.
 
-    ground_rules: List[GroundRule] = []
-    seen: Set[Tuple] = set()
-    stats = _stats()
-    for rule_index, rule in enumerate(program.rules):
-        for theta in _join(rule.body, index, {}):
-            head = rule.head.substitute(theta).to_fact()
-            idb_body = tuple(
-                a.substitute(theta).to_fact() for a in rule.body if a.predicate in idbs
-            )
-            edb_body = tuple(
-                a.substitute(theta).to_fact() for a in rule.body if a.predicate not in idbs
-            )
-            key = (rule_index, head, idb_body, edb_body)
-            if key not in seen:
-                seen.add(key)
-                ground_rules.append(GroundRule(head, idb_body, edb_body, rule_index))
-                stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
+    The same pass as :func:`columnar_grounding`; use that one when the
+    consumer can work in id space (the fixpoint and the constructions
+    do), since decoding every ground rule costs a :class:`Fact` per
+    distinct fact and a :class:`GroundRule` per rule.
+    """
+    return columnar_grounding(program, database).to_ground_program()
+
+
+def derivable_facts(
+    program: Program,
+    database: Database,
+    ground: Optional[ColumnarGroundProgram] = None,
+) -> Tuple[FrozenSet[Fact], int]:
+    """Boolean fixpoint: ``(derivable IDB facts, iterations)``.
+
+    The iteration count is the number of rounds until no new fact
+    appears -- the Boolean fixpoint iteration of Definition 4.1 used
+    by the empirical boundedness probe.  Both answers fall out of the
+    grounding pass, so this grounds the program (or reads a
+    precomputed :func:`columnar_grounding` result passed as *ground*,
+    which records its pass's round count).  A grounding with no
+    recorded round count (e.g. one lowered via
+    :meth:`ColumnarGroundProgram.from_ground_program`) is rejected
+    rather than silently recomputed against the live database.
+    """
+    if ground is None:
+        ground = columnar_grounding(program, database)
+    elif ground.iterations is None:
+        raise ValueError(
+            "ground carries no Boolean round count (only "
+            "columnar_grounding results do); drop the argument to "
+            "recompute the closure from the database"
+        )
+    return ground.idb_facts, ground.iterations
 
 
 def full_grounding(
     program: Program,
     database: Database,
     max_instantiations: int = 2_000_000,
-    engine: Optional[str] = None,
-    config: ConfigLike = None,
 ) -> GroundProgram:
     """All groundings over the active domain with EDB body atoms present.
 
@@ -1849,170 +1161,57 @@ def full_grounding(
     (their value is identically ``0``); IDB body facts are kept
     unconstrained, exactly as in the paper's grounded program.
 
-    With the ``"naive"`` engine, a rule whose ``|Dom(I)|^{#vars}``
-    cross product exceeds *max_instantiations* raises
-    :class:`DatalogError` up front (the cross product is what that
-    engine enumerates).  The ``"indexed"`` and ``"columnar"`` engines
-    instead join the EDB atoms first and only enumerate the remaining
-    free variables over the domain, so their guard counts the
-    instantiations that would actually be emitted -- a join-cost
-    counting pass per rule, before any ground rule is materialized.
-
-    ``engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)``; it still works but warns.
+    Each rule's EDB atoms are joined first, in id space over the
+    database's store (the slot-compiled plan of the relevant
+    grounder), and only the remaining free variables are enumerated
+    over the domain.  The guard against *max_instantiations* counts
+    the instantiations that would actually be emitted -- a join-cost
+    counting pass per rule, before any ground rule is materialized --
+    and raises :class:`DatalogError` when it is exceeded.
     """
-    config = merge_legacy_knobs("full_grounding", config, engine=("engine", engine))
-    engine = _resolve_engine(config.engine)
-    if engine == "naive":
-        return _full_grounding_naive(program, database, max_instantiations)
-    if engine == "columnar":
-        return _full_grounding_columnar(program, database, max_instantiations)
-    return _full_grounding_indexed(program, database, max_instantiations)
-
-
-def _full_grounding_joined(
-    program: Program,
-    database: Database,
-    max_instantiations: int,
-    make_bindings,
-) -> GroundProgram:
-    """Shared join-then-enumerate skeleton for the indexed and
-    columnar full groundings.
-
-    *make_bindings(edb_atoms)* returns ``(count_bindings,
-    iter_bindings)``: a zero-argument callable counting the rule's EDB
-    join bindings (the guard pass needs nothing but the count, so the
-    columnar engine can count in id space without decoding anything)
-    and one producing a fresh iterator of EDB substitutions
-    (``Variable -> Constant``) for emission.  The guard pass runs
-    before anything is materialized, so an exploding rule is rejected
-    at join cost, not at the cost (and memory) of building millions of
-    GroundRules first.
-    """
-    domain = sorted(database.active_domain(), key=repr)
+    store = database.columnar_store()
+    symbols = store.symbols
+    domain = [symbols.intern(value) for value in sorted(database.active_domain(), key=repr)]
     idbs = program.idb_predicates
-    ground_rules: List[GroundRule] = []
+    cground = ColumnarGroundProgram(program, symbols)
     stats = _stats()
     for rule_index, rule in enumerate(program.rules):
-        edb_atoms = [a for a in rule.body if a.predicate not in idbs]
-        count_bindings, bindings = make_bindings(edb_atoms)
-        # The EDB join binds exactly the EDB atoms' variables, so the
-        # free set is rule-invariant.
-        edb_vars = {v for a in edb_atoms for v in a.variables}
-        free = [v for v in sorted(rule.variables, key=lambda v: v.name) if v not in edb_vars]
-        per_binding = len(domain) ** len(free)
-        total = per_binding * count_bindings()
+        slot_of = {
+            var: slot for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))
+        }
+        edb_atoms = [
+            _SlotAtom(atom, symbols, slot_of) for atom in rule.body if atom.predicate not in idbs
+        ]
+        plan = _compile_slot_plan(_order_slot_atoms(edb_atoms, store, set()), set())
+        bound = {slot for atom in edb_atoms for slot in atom.slots}
+        free = [slot for slot in range(len(slot_of)) if slot not in bound]
+        theta = [-1] * len(slot_of)
+        bindings = sum(1 for _ in _enum_slot_plan(plan, 0, store, theta, GroundingStats()))
+        total = bindings * len(domain) ** len(free)
         if total > max_instantiations:
             raise DatalogError(
                 f"full grounding of rule {rule} would create {total} "
                 f"instantiations (> {max_instantiations}); "
                 "use relevant_grounding instead"
             )
-        for edb_theta in bindings():
+        # Instantiated atoms (head, IDB body) may carry constants the
+        # store has never seen, so they intern; EDB atoms were matched.
+        head = _SlotAtom(rule.head, symbols, slot_of, intern=True)
+        head_row, head_id = _row_builder(head.terms), cground.interner(head.predicate)
+        body = []
+        for atom in rule.body:
+            is_idb = atom.predicate in idbs
+            slotted = _SlotAtom(atom, symbols, slot_of, intern=is_idb)
+            body.append((_row_builder(slotted.terms), is_idb, cground.interner(atom.predicate)))
+        for _ in _enum_slot_plan(plan, 0, store, theta, stats):
             for values in product(domain, repeat=len(free)):
                 stats.probes += 1
-                theta = dict(edb_theta)
-                theta.update(zip(free, map(Constant, values)))
-                head = rule.head.substitute(theta).to_fact()
-                idb_body = tuple(
-                    a.substitute(theta).to_fact() for a in rule.body if a.predicate in idbs
-                )
-                edb_body = tuple(
-                    a.substitute(theta).to_fact()
-                    for a in rule.body
-                    if a.predicate not in idbs
-                )
-                ground_rules.append(GroundRule(head, idb_body, edb_body, rule_index))
+                for slot, sid in zip(free, values):
+                    theta[slot] = sid
+                idb_fids = [intern(row(theta)) for row, is_idb, intern in body if is_idb]
+                edb_fids = [intern(row(theta)) for row, is_idb, intern in body if not is_idb]
+                cground.append_rule(rule_index, head_id(head_row(theta)), idb_fids, edb_fids)
                 stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
-
-
-def _full_grounding_indexed(
-    program: Program, database: Database, max_instantiations: int
-) -> GroundProgram:
-    index = _FactIndex()
-    for fact in database.facts():
-        index.insert(fact)
-
-    def make_bindings(edb_atoms):
-        ordered = _order_body(edb_atoms, index, set())
-
-        def count():
-            return sum(1 for _ in _join_indexed(ordered, index, {}))
-
-        def run():
-            return _join_indexed(ordered, index, {})
-
-        return count, run
-
-    return _full_grounding_joined(program, database, max_instantiations, make_bindings)
-
-
-def _full_grounding_columnar(
-    program: Program, database: Database, max_instantiations: int
-) -> GroundProgram:
-    """Columnar variant: the EDB join runs in id space over the shared
-    store snapshot (no derived facts are appended, so no copy is
-    taken) and each binding is decoded once before the free variables
-    are enumerated over the domain."""
-    store = database.columnar_store()
-    symbols = store.symbols
-
-    def make_bindings(edb_atoms):
-        ordered = _order_catoms(
-            [_CompiledAtom(atom, symbols) for atom in edb_atoms], store, set()
-        )
-
-        def count():
-            # Guard pass stays in id space: no Constant/dict decoding
-            # for bindings that are only being counted.
-            return sum(1 for _ in _join_columnar(ordered, store, {}))
-
-        def run():
-            for theta_ids in _join_columnar(ordered, store, {}):
-                yield {var: Constant(symbols.decode(sid)) for var, sid in theta_ids.items()}
-
-        return count, run
-
-    return _full_grounding_joined(program, database, max_instantiations, make_bindings)
-
-
-def _full_grounding_naive(
-    program: Program, database: Database, max_instantiations: int
-) -> GroundProgram:
-    """Reference implementation: enumerate the whole cross product."""
-    domain = sorted(database.active_domain(), key=repr)
-    idbs = program.idb_predicates
-    ground_rules: List[GroundRule] = []
-    seen: Set[Tuple] = set()
-    stats = _stats()
-    for rule_index, rule in enumerate(program.rules):
-        rule_vars = sorted(rule.variables, key=lambda v: v.name)
-        total = len(domain) ** len(rule_vars)
-        if total > max_instantiations:
-            raise DatalogError(
-                f"full grounding would create {total} instantiations; "
-                "use relevant_grounding instead"
-            )
-        assignments: List[Dict[Variable, Constant]] = [{}]
-        for var in rule_vars:
-            assignments = [
-                {**theta, var: Constant(value)} for theta in assignments for value in domain
-            ]
-        for theta in assignments:
-            stats.probes += 1
-            edb_body = tuple(
-                a.substitute(theta).to_fact() for a in rule.body if a.predicate not in idbs
-            )
-            if any(fact not in database for fact in edb_body):
-                continue
-            head = rule.head.substitute(theta).to_fact()
-            idb_body = tuple(
-                a.substitute(theta).to_fact() for a in rule.body if a.predicate in idbs
-            )
-            key = (rule_index, head, idb_body, edb_body)
-            if key not in seen:
-                seen.add(key)
-                ground_rules.append(GroundRule(head, idb_body, edb_body, rule_index))
-                stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
+            for slot in free:
+                theta[slot] = -1
+    return cground.to_ground_program()

@@ -60,7 +60,7 @@ from .grounding import (
     _stats,
     columnar_grounding,
 )
-from .seminaive import COLUMNAR, _columnar_fixpoint
+from .seminaive import _columnar_fixpoint
 
 __all__ = ["MaintainedFixpoint", "MaintenanceBudgetExceeded", "MaintenancePolicy"]
 
@@ -327,7 +327,6 @@ class MaintainedFixpoint:
             {decode(fid): value[fid] for fid in head_fids},
             iterations,
             converged,
-            strategy=COLUMNAR,
             rule_evaluations=rule_evaluations,
         )
         if max_iterations is None:

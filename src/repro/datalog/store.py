@@ -2,8 +2,8 @@
 
 Every other layer of the engine -- grounding joins, semi-naive deltas,
 circuit construction -- ultimately reads tuples out of a fact store.
-The historical stores (`Database`'s per-predicate Python ``set``s and
-the grounding engines' dict-of-rows indexes) pay per-tuple object
+Tuple stores (`Database`'s per-predicate Python ``set``s, the
+dict-of-rows indexes of a tuple join) pay per-tuple object
 overhead on every probe: each row is a tuple of arbitrary Python
 constants, each index probe hashes those constants again, and each
 relation scan chases one pointer per cell.
@@ -44,9 +44,9 @@ high-performance Datalog engines:
 Decoding back to Python constants happens only at the boundary
 (:meth:`SymbolTable.decode_row`, :meth:`ColumnarStore.facts`);
 :class:`~repro.datalog.database.Database` stays the user-facing façade
-and materializes a shared :class:`ColumnarStore` lazily.  The
-``engine="columnar"`` join engine in :mod:`repro.datalog.grounding`
-runs entirely in id space on top of these primitives.
+and materializes a shared :class:`ColumnarStore` lazily.  The grounder
+in :mod:`repro.datalog.grounding` runs entirely in id space on top of
+these primitives.
 """
 
 from __future__ import annotations
@@ -476,7 +476,7 @@ class DeltaView:
 class ColumnarStore:
     """A set of :class:`ColumnarRelation`\\ s over one symbol table.
 
-    The id-space backend behind ``engine="columnar"``: facts go in
+    The id-space backend behind grounding: facts go in
     through the interning writers (:meth:`insert_fact`,
     :meth:`insert_ids`), joins read row indices out of the bisect
     indexes (:meth:`ColumnarRelation.lookup`), and semi-naive rounds
@@ -487,7 +487,7 @@ class ColumnarStore:
     :class:`Database` may hold one predicate at several arities
     (programs forbid it, inputs do not), and wrong-arity tuples must
     simply never match an atom -- exactly the behaviour of the
-    tuple-based engines -- rather than clash in one fixed-arity
+    oracle's tuple join -- rather than clash in one fixed-arity
     column set.
     """
 

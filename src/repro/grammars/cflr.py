@@ -7,17 +7,15 @@ the ``⊕``-sum over such paths of the ``⊗``-product of edge tags.
 
 The solver reuses the Datalog engine: the (binarized) grammar becomes
 a chain program (Proposition 5.2) which is handed to the
-:class:`~repro.datalog.seminaive.FixpointEngine` (semi-naive by
-default; pass ``strategy="naive"`` to force the reference loop).  This
-keeps a single trusted fixpoint engine for Datalog, RPQs and
-CFL-reachability alike.
+:class:`~repro.datalog.seminaive.FixpointEngine`.  This keeps a single
+trusted fixpoint engine for Datalog, RPQs and CFL-reachability alike.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.evaluation import EvaluationResult, naive_evaluation
@@ -42,7 +40,6 @@ def cfl_reachability(
     semiring: Semiring,
     weights: Optional[Mapping[Fact, object]] = None,
     max_iterations: Optional[int] = None,
-    strategy: Optional[str] = None,
     config: ConfigLike = None,
 ) -> Dict[Tuple[Vertex, Vertex], object]:
     """Solve weighted CFL-reachability.
@@ -60,7 +57,6 @@ def cfl_reachability(
     """
     if () in {p.rhs for p in grammar.productions} and grammar.start in grammar.nullable_nonterminals():
         raise ValueError("ε ∈ L(grammar); CFL-reachability over chain rules excludes ε")
-    config = merge_legacy_knobs("cfl_reachability", config, strategy=("strategy", strategy))
     database = edges if isinstance(edges, Database) else Database.from_labeled_edges(edges)
     program = chain_program_for(grammar)
     result: EvaluationResult = naive_evaluation(

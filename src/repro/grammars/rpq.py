@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike
 from ..datalog.ast import Fact
 from ..datalog.database import Database
 from ..datalog.evaluation import naive_evaluation
@@ -89,7 +89,6 @@ def solve_rpq(
     semiring: Semiring,
     weights: Optional[Mapping[Fact, object]] = None,
     max_iterations: Optional[int] = None,
-    strategy: Optional[str] = None,
     config: ConfigLike = None,
 ) -> Dict[Tuple[Vertex, Vertex], object]:
     """Evaluate the RPQ over *semiring* via TC on the product graph.
@@ -100,7 +99,6 @@ def solve_rpq(
     to nonzero entries.  Words of length 0 (ε ∈ L) are excluded, as in
     the chain-Datalog encoding.
     """
-    config = merge_legacy_knobs("solve_rpq", config, strategy=("strategy", strategy))
     product = product_graph(edges, dfa)
     weights = weights or {}
     product_weights = {

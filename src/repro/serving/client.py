@@ -127,6 +127,11 @@ class CircuitClient:
     # -- connection lifecycle ------------------------------------------
 
     async def connect(self) -> "CircuitClient":
+        if self._reader is not None and self._reader.at_eof():
+            # The server closed the kept-alive connection while it sat
+            # idle (e.g. at its header_timeout): writing into it would
+            # fail the next request, so reconnect instead.
+            await self.close()
         if self._writer is None:
             self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
         return self
@@ -301,8 +306,6 @@ class CircuitClient:
         target: Optional[str] = None,
         weights: Optional[Mapping] = None,
         construction: Optional[str] = None,
-        engine: Optional[str] = None,
-        strategy: Optional[str] = None,
     ) -> dict:
         """Register a circuit; returns the registration report (with ``key``)."""
         body: Dict[str, Any] = {
@@ -316,10 +319,6 @@ class CircuitClient:
             body["weights"] = _wire_weights(weights)
         if construction is not None:
             body["construction"] = construction
-        if engine is not None:
-            body["engine"] = engine
-        if strategy is not None:
-            body["strategy"] = strategy
         return await self._call("POST", "/circuits", body)
 
     async def boolean(self, key: str, true_facts: Iterable) -> bool:
@@ -405,8 +404,6 @@ class CircuitClient:
         *,
         target: Optional[str] = None,
         weights: Optional[Mapping] = None,
-        engine: Optional[str] = None,
-        strategy: Optional[str] = None,
         max_iterations: Optional[int] = None,
     ) -> dict:
         body: Dict[str, Any] = {
@@ -418,10 +415,6 @@ class CircuitClient:
             body["target"] = target
         if weights is not None:
             body["weights"] = _wire_weights(weights)
-        if engine is not None:
-            body["engine"] = engine
-        if strategy is not None:
-            body["strategy"] = strategy
         if max_iterations is not None:
             body["max_iterations"] = max_iterations
         return await self._call("POST", "/solve", body)

@@ -123,6 +123,12 @@ _REASONS = {
 
 _T = TypeVar("_T")
 
+#: Body fields of ``/circuits`` and ``/solve`` that once picked a
+#: grounding engine or fixpoint strategy.  Grounding and the fixpoint
+#: now run one pipeline, so a request naming one gets a 400 instead of
+#: an answer computed some other way than it asked for.
+_REMOVED_FIELDS = ("engine", "strategy")
+
 
 class ServingError(Exception):
     """A request error with an HTTP status (raised by handlers)."""
@@ -696,6 +702,13 @@ class CircuitServer:
     # -- handlers ------------------------------------------------------
 
     def _build_problem(self, body: Mapping[str, Any]) -> Tuple[Session, ExecutionConfig]:
+        for field in _REMOVED_FIELDS:
+            if field in body:
+                raise ServingError(
+                    400,
+                    f"'{field}' is no longer accepted: grounding and the fixpoint run one "
+                    "pipeline; drop the field",
+                )
         program_field = body.get("program")
         if not program_field:
             raise ServingError(400, "missing 'program' (rule text or list of rules)")
@@ -710,11 +723,7 @@ class CircuitServer:
             database.add_fact(fact_from_wire(wire_fact))
         for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
             database.set_weight(fact, weight)
-        config = ExecutionConfig(
-            engine=body.get("engine"),
-            strategy=body.get("strategy"),
-            construction=body.get("construction"),
-        )
+        config = ExecutionConfig(construction=body.get("construction"))
         return Session(program, database, config), config
 
     def _register(self, body: Mapping[str, Any]) -> dict:

@@ -1,8 +1,12 @@
 """Deterministic testing harnesses shipped with the engine.
 
-Currently one member: :mod:`repro.testing.faults`, the seeded
-fault-injection plan the chaos suite and the faulted serving bench
-drive the resilience layer with (DESIGN.md §12).
+* :mod:`repro.testing.faults` -- the seeded fault-injection plan the
+  chaos suite and the faulted serving bench drive the resilience layer
+  with (DESIGN.md §12); re-exported here.
+* :mod:`repro.testing.oracle` -- the naive reference grounder and
+  fixpoint the production pipeline is checked against (DESIGN.md §4,
+  §5).  Deliberately *not* imported here: nothing in the program
+  reaches it; tests and benchmarks import it by name.
 """
 
 from .faults import (

@@ -3,16 +3,16 @@
 Four contracts are pinned here:
 
 * **backend selection** -- ``ExecutionConfig.backend`` validates with
-  the same ValueError vocabulary as ``engine``/``strategy``, survives
-  ``evolve()``/``coerce_config``/``merge_legacy_knobs``, and
+  the same ValueError vocabulary as ``construction``, survives
+  ``evolve()``/``coerce_config``, and
   :func:`repro.backends.resolve_backend` maps ``"auto"`` to the NumPy
   kernels exactly when NumPy imports;
 * **fixpoint equivalence** -- ``backend="vectorized"`` produces the
   *exact* same values, iteration counts, convergence flags and
-  rule-evaluation counts as the pure-Python kernels, across the
-  engine × strategy matrix, on random digraphs, Dyck-1 and tropical
-  Bellman-Ford, including NaN/inf float edge values (where the
-  vectorized kernel must decline rather than drift);
+  rule-evaluation counts as the pure-Python kernels and the naive
+  oracle, on random digraphs, Dyck-1 and tropical Bellman-Ford,
+  including NaN/inf float edge values (where the vectorized kernel
+  must decline rather than drift);
 * **batch equivalence** -- ``evaluate_batch(backend="vectorized")``
   matches the interpreter loop element for element;
 * **sharded grounding determinism** -- ``columnar_grounding`` with
@@ -29,17 +29,9 @@ from hypothesis import strategies as st
 
 from repro.api import Session, solve
 from repro.backends import numpy_available, resolve_backend
-from repro.config import (
-    BACKENDS,
-    ExecutionConfig,
-    coerce_config,
-    merge_legacy_knobs,
-)
+from repro.config import BACKENDS, ExecutionConfig, coerce_config
 from repro.datalog import (
     Database,
-    FixpointEngine,
-    GROUNDING_ENGINES,
-    STRATEGIES,
     columnar_grounding,
     dyck1,
     transitive_closure,
@@ -47,6 +39,7 @@ from repro.datalog import (
 from repro.datalog.grounding import shard_of_fact
 from repro.semirings import ARCTIC, BOOLEAN, COUNTING, FUZZY, TROPICAL, VITERBI
 from repro.workloads import random_digraph, random_weights
+from tests.oracle_checks import ORACLE_SEMIRINGS, assert_matches_oracle, extreme_weights
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -110,10 +103,9 @@ def test_config_backend_vocabulary():
 
 def test_config_backend_survives_evolve_and_key():
     config = ExecutionConfig(backend="vectorized")
-    assert config.evolve(engine="columnar").backend == "vectorized"
+    assert config.evolve(prune=True).backend == "vectorized"
     assert config.key() != ExecutionConfig().key()
-    merged = merge_legacy_knobs("test_vectorized", config)
-    assert merged.backend == "vectorized"
+    assert coerce_config({"backend": "vectorized"}) == config
 
 
 def test_resolve_backend_vocabulary_and_auto():
@@ -188,22 +180,16 @@ def test_fixpoint_parity_dyck(seed, pairs):
     assert_backend_parity(DYCK, db, COUNTING, max_iterations=10)
 
 
-def test_fixpoint_parity_engine_strategy_matrix():
-    """The backend knob composes with every (engine, strategy) pair:
-    the full matrix under ``backend="vectorized"`` agrees with the
-    pure-Python naive/naive reference."""
+@pytest.mark.parametrize("semiring", ORACLE_SEMIRINGS, ids=lambda s: s.name)
+def test_fixpoint_parity_against_oracle(semiring):
+    """Both backends agree with the naive oracle -- values,
+    iterations, convergence and rule evaluations -- with weights at
+    the semiring's boundary values (0, and inf for TROPICAL)."""
     db = random_digraph(10, 30, seed=4)
-    weights = random_weights(db, seed=5)
-    reference = FixpointEngine("naive", "naive").evaluate(TC, db, TROPICAL, weights=weights)
-    for engine in GROUNDING_ENGINES:
-        for strategy in STRATEGIES:
-            config = ExecutionConfig(
-                engine=engine, strategy=strategy, backend=VEC.backend
-            )
-            result = solve(TC, db, TROPICAL, weights=weights, config=config)
-            assert result.values == reference.values, (engine, strategy)
-            assert result.iterations == reference.iterations, (engine, strategy)
-            assert result.converged and reference.converged
+    weights = extreme_weights(semiring, db, seed=5)
+    for backend in (PY.backend, VEC.backend):
+        assert_matches_oracle(TC, db, semiring, weights=weights, backend=backend)
+    assert_backend_parity(TC, db, semiring, weights=weights)
 
 
 def test_fixpoint_parity_bellman_ford_inf_and_nan():

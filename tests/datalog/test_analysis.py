@@ -39,9 +39,26 @@ from repro.datalog import (
 )
 from repro.datalog.analysis import CONVERGES, DIVERGES, UNKNOWN
 from repro.semirings import BOOLEAN, COUNTING, COUNTING_CAP, TROPICAL
+from repro.testing.oracle import oracle_evaluation
 
 TC = transitive_closure()
-STRATEGIES = ("naive", "seminaive", "columnar")
+
+
+def _oracle_solve(program, db, semiring, config=None, weights=None):
+    if config is not None and config.prune:
+        program = prune_unreachable(program)
+    return oracle_evaluation(program, db, semiring, weights=weights)
+
+
+def _session_solve(program, db, semiring, config=None, weights=None):
+    return Session(program, db, config).solve(semiring, weights=weights)
+
+
+#: The fixpoint paths every runtime property below is checked on: the
+#: naive oracle, one-shot semi-naive ``solve()``, and a ``Session``
+#: solving over its cached columnar grounding.
+FIXPOINTS = {"naive": _oracle_solve, "seminaive": solve, "columnar": _session_solve}
+STRATEGIES = tuple(FIXPOINTS)
 
 #: Transitive closure plus a dead pair of rules: ``S`` is never
 #: reachable from target ``T``, so pruning must drop exactly its two
@@ -278,14 +295,9 @@ def test_pruned_solve_preserves_target_cone_values_exactly(strategy, semiring):
     if semiring is TROPICAL:
         rng = random.Random(7)
         weights = {fact: float(rng.randint(1, 9)) for fact in db.facts()}
-    full = solve(program, db, semiring, config=ExecutionConfig(strategy=strategy), weights=weights)
-    lean = solve(
-        program,
-        db,
-        semiring,
-        config=ExecutionConfig(strategy=strategy, prune=True),
-        weights=weights,
-    )
+    run = FIXPOINTS[strategy]
+    full = run(program, db, semiring, config=ExecutionConfig(), weights=weights)
+    lean = run(program, db, semiring, config=ExecutionConfig(prune=True), weights=weights)
     full_t = {fact: value for fact, value in full.values.items() if fact.predicate == "T"}
     lean_t = {fact: value for fact, value in lean.values.items() if fact.predicate == "T"}
     assert full_t == lean_t
@@ -389,9 +401,8 @@ def test_unproductive_chain_cycle_converges_without_grounding():
     prediction = predict_divergence(program, COUNTING, db)
     assert prediction.verdict == CONVERGES
     assert "chain" in prediction.reason
-    for strategy in STRATEGIES:
-        result = solve(program, db, COUNTING, config=ExecutionConfig(strategy=strategy))
-        assert result.converged
+    for run in FIXPOINTS.values():
+        assert run(program, db, COUNTING).converged
 
 
 def test_stored_idb_seed_disarms_both_definite_layers():
@@ -432,8 +443,8 @@ def test_definite_verdicts_match_runtime_across_strategies(seed, n, m):
     db = random_edge_db(seed, n, m)
     prediction = predict_divergence(TC, COUNTING, db)
     assert prediction.verdict in (CONVERGES, DIVERGES)  # db supplied: decidable here
-    for strategy in STRATEGIES:
-        result = solve(TC, db, COUNTING, config=ExecutionConfig(strategy=strategy))
+    for run in FIXPOINTS.values():
+        result = run(TC, db, COUNTING)
         assert result.converged == (prediction.verdict == CONVERGES)
 
 

@@ -1,22 +1,20 @@
-"""The id-space columnar fixpoint engine (DESIGN.md §9).
+"""The id-space grounding and fixpoint (DESIGN.md §9) against the oracle.
 
 Three layers are pinned here:
 
 * :class:`~repro.datalog.grounding.ColumnarGroundProgram` -- the
   parallel-array grounding produced by
   :func:`~repro.datalog.grounding.columnar_grounding`: rule arrays,
-  CSR ``by_head``/``by_body`` adjacency against the tuple
-  ``GroundProgram``'s dict indexes, boundary decoding, lowering from
+  CSR ``by_head``/``by_body`` adjacency against indexes built by
+  brute force from its tuple view, boundary decoding, lowering from
   tuple space;
-* the ``strategy="columnar"`` fixpoint -- observational equivalence
-  (values, iterations, convergence, rule-evaluation counts) with the
-  tuple strategies, over semirings with and without closure-compiler
-  kernels, including divergence behaviour;
-* the full **engine × strategy matrix** -- every
-  ``(grounding_engine, strategy)`` pair must agree on ``rule_keys()``
-  and derived facts / fixpoint values over random digraphs, Dyck-1,
-  same-generation and magic workloads (the ISSUE 5 acceptance
-  matrix).
+* the fixpoint -- observational equivalence (values, iterations,
+  convergence, rule-evaluation counts) with the naive oracle of
+  :mod:`repro.testing.oracle`, over semirings with and without
+  closure-compiler kernels, including divergence behaviour;
+* the production-vs-oracle workloads -- the production grounding must
+  match the oracle's ``rule_keys()`` and the fixpoint its values over
+  random digraphs, Dyck-1, same-generation and magic workloads.
 """
 
 import random
@@ -25,13 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
-    COLUMNAR,
     ColumnarGroundProgram,
     Database,
     Fact,
     FixpointEngine,
-    GROUNDING_ENGINES,
-    STRATEGIES,
     columnar_grounding,
     derivable_facts,
     dyck1,
@@ -40,12 +35,17 @@ from repro.datalog import (
     naive_evaluation,
     relevant_grounding,
     same_generation,
-    seminaive_evaluation,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.semirings.numeric import BooleanSemiring
-from repro.workloads import random_digraph, random_weights
+from repro.testing.oracle import (
+    naive_derivable_facts,
+    naive_relevant_grounding,
+    oracle_evaluation,
+)
+from repro.workloads import random_digraph
+from tests.oracle_checks import assert_matches_oracle, extreme_weights
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -96,7 +96,7 @@ def dyck_db(seed: int, pairs: int) -> Database:
 
 def test_columnar_grounding_matches_tuple_grounding():
     db = random_edge_db(3, 8, 18)
-    ground = relevant_grounding(TC, db, engine="indexed")
+    ground = naive_relevant_grounding(TC, db)
     cground = columnar_grounding(TC, db)
     assert cground.rule_keys() == ground.rule_keys()
     assert cground.idb_facts == ground.idb_facts
@@ -106,7 +106,7 @@ def test_columnar_grounding_matches_tuple_grounding():
     assert cground.to_ground_program().rule_keys() == ground.rule_keys()
     # The grounding pass records its Boolean round count.
     facts, iterations = derivable_facts(TC, db, ground=cground)
-    naive_facts, naive_iterations = derivable_facts(TC, db, engine="naive")
+    naive_facts, naive_iterations = naive_derivable_facts(TC, db)
     assert facts == naive_facts
     assert iterations == naive_iterations
 
@@ -122,15 +122,21 @@ def test_csr_adjacency_matches_dict_indexes():
         rule = ground.rules[position]
         return (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
 
-    for fact, positions in ground.rule_indices_by_head.items():
+    rule_indices_by_head, rules_by_idb_body = {}, {}
+    for position, rule in enumerate(ground.rules):
+        rule_indices_by_head.setdefault(rule.head, []).append(position)
+        for fact in set(rule.idb_body):
+            rules_by_idb_body.setdefault(fact, []).append(position)
+
+    for fact, positions in rule_indices_by_head.items():
         fid = cground.find_fact_id(fact)
         got = [by_head_rules[at] for at in range(by_head_ptr[fid], by_head_ptr[fid + 1])]
-        assert got == sorted(got)  # ascending, like the tuple index
+        assert got == sorted(got)  # ascending rule positions
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
-    for fact, positions in ground.rules_by_idb_body.items():
+    for fact, positions in rules_by_idb_body.items():
         fid = cground.find_fact_id(fact)
         got = [by_body_rules[at] for at in range(by_body_ptr[fid], by_body_ptr[fid + 1])]
-        assert len(got) == len(set(got))  # per-rule dedup, like the tuple index
+        assert len(got) == len(set(got))  # deduplicated per rule
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
 
 
@@ -138,7 +144,7 @@ def test_from_ground_program_round_trips_and_stays_private():
     from repro.datalog import GLOBAL_SYMBOLS
 
     db = random_edge_db(9, 6, 12)
-    ground = relevant_grounding(TC, db, engine="naive")
+    ground = naive_relevant_grounding(TC, db)
     before = len(GLOBAL_SYMBOLS)
     lowered = ColumnarGroundProgram.from_ground_program(ground)
     assert lowered.rule_keys() == ground.rule_keys()
@@ -167,18 +173,18 @@ def test_columnar_grounding_handles_rule_constants():
         target="Q",
     )
     db = Database.from_edges([(1, 2), (2, 3)])
-    assert columnar_grounding(program, db).rule_keys() == relevant_grounding(
-        program, db, engine="naive"
+    assert columnar_grounding(program, db).rule_keys() == naive_relevant_grounding(
+        program, db
     ).rule_keys()
-    # Unknown body constants match nothing, as in every other engine.
+    # Unknown body constants match nothing, as in the oracle.
     impossible = parse_program("T(X, Y) :- E(X, Y), E(Y, 99).", target="T")
     assert len(columnar_grounding(impossible, db)) == 0
 
 
 def test_columnar_grounding_nullary_atoms():
     """Propositional (zero-arity) atoms must ground and evaluate like
-    every other engine (regression: the row-builder once required at
-    least one term)."""
+    the oracle (regression: the row-builder once required at least one
+    term)."""
     from repro.datalog import Atom, Program, Rule, Variable
 
     x = Variable("X")
@@ -194,9 +200,7 @@ def test_columnar_grounding_nullary_atoms():
     db.add("E", 1)
     db.add("E", 2)
     assert_matrix_agrees(program, db, BOOLEAN)
-    assert Fact("T", (1,)) in FixpointEngine(COLUMNAR, "columnar").evaluate(
-        program, db, BOOLEAN
-    ).values
+    assert Fact("T", (1,)) in FixpointEngine().evaluate(program, db, BOOLEAN).values
 
 
 def test_derivable_facts_rejects_ground_without_round_count():
@@ -215,42 +219,32 @@ def test_columnar_grounding_repeated_variables():
         "S(X) :- E(X, X).\nT2(X, Y) :- S(X), E(X, Y).", target="T2"
     )
     db = Database.from_edges([(1, 1), (1, 2), (2, 2), (2, 3)])
-    assert columnar_grounding(program, db).rule_keys() == relevant_grounding(
-        program, db, engine="naive"
+    assert columnar_grounding(program, db).rule_keys() == naive_relevant_grounding(
+        program, db
     ).rule_keys()
 
 
-# -- strategy equivalence -------------------------------------------------
-
-
-def assert_strategies_agree(program, db, semiring, weights=None):
-    reference = FixpointEngine("naive").evaluate(program, db, semiring, weights=weights)
-    for strategy in STRATEGIES:
-        result = FixpointEngine(strategy).evaluate(program, db, semiring, weights=weights)
-        assert result.values == reference.values, strategy
-        assert result.iterations == reference.iterations, strategy
-        assert result.converged == reference.converged, strategy
-        assert result.strategy == strategy
+# -- the fixpoint against the oracle --------------------------------------
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 7), m=st.integers(3, 14))
 @settings(max_examples=40, deadline=None)
 def test_columnar_strategy_agrees_boolean_tc(seed, n, m):
     db = random_edge_db(seed, n, m)
-    assert_strategies_agree(TC, db, BOOLEAN)
+    assert_matches_oracle(TC, db, BOOLEAN)
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 12))
 @settings(max_examples=30, deadline=None)
 def test_columnar_strategy_agrees_tropical_tc(seed, n, m):
     db = random_edge_db(seed, n, m)
-    assert_strategies_agree(TC, db, TROPICAL, random_weights(db, seed=seed))
+    assert_matches_oracle(TC, db, TROPICAL, weights=extreme_weights(TROPICAL, db, seed))
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_columnar_strategy_agrees_dyck(seed, pairs):
-    assert_strategies_agree(DYCK, dyck_db(seed, pairs), BOOLEAN)
+    assert_matches_oracle(DYCK, dyck_db(seed, pairs), BOOLEAN)
 
 
 def test_columnar_strategy_generic_kernel_matches_compiled():
@@ -258,19 +252,21 @@ def test_columnar_strategy_generic_kernel_matches_compiled():
     indistinguishable (same loop, ⊗/⊕ inlined vs called)."""
     for seed in range(5):
         db = random_edge_db(seed, 6, 14)
-        compiled = FixpointEngine(COLUMNAR).evaluate(TC, db, BOOLEAN)
-        generic = FixpointEngine(COLUMNAR).evaluate(TC, db, UNCOMPILED_BOOLEAN)
+        compiled = FixpointEngine().evaluate(TC, db, BOOLEAN)
+        generic = FixpointEngine().evaluate(TC, db, UNCOMPILED_BOOLEAN)
         assert compiled.values == generic.values
         assert compiled.iterations == generic.iterations
         assert compiled.rule_evaluations == generic.rule_evaluations
 
 
 def test_columnar_strategy_counts_rule_evaluations_like_seminaive():
+    # The count is the semi-naive one the oracle derives from its own
+    # round-by-round trajectory, strictly below the naive loop's.
     db = random_edge_db(11, 7, 18)
-    a = FixpointEngine("seminaive").evaluate(TC, db, BOOLEAN)
-    b = FixpointEngine(COLUMNAR).evaluate(TC, db, BOOLEAN)
-    assert a.rule_evaluations == b.rule_evaluations
-    assert b.rule_evaluations > 0
+    oracle = oracle_evaluation(TC, db, BOOLEAN)
+    result = FixpointEngine().evaluate(TC, db, BOOLEAN)
+    assert result.rule_evaluations == oracle.delta_rule_evaluations
+    assert 0 < result.rule_evaluations < oracle.rule_evaluations
 
 
 def test_columnar_strategy_divergence_matches():
@@ -279,60 +275,46 @@ def test_columnar_strategy_divergence_matches():
     from repro.datalog.evaluation import DivergenceError
 
     db = Database.from_edges([(1, 2), (2, 1)])
-    a = FixpointEngine("seminaive").evaluate(TC, db, COUNTING, max_iterations=6)
-    b = FixpointEngine(COLUMNAR).evaluate(TC, db, COUNTING, max_iterations=6)
+    a = oracle_evaluation(TC, db, COUNTING, max_iterations=6)
+    b = FixpointEngine().evaluate(TC, db, COUNTING, max_iterations=6)
     assert not a.converged and not b.converged
     assert a.iterations == b.iterations == 6
     assert a.values == b.values
+    assert b.rule_evaluations == a.delta_rule_evaluations
     with pytest.raises(DivergenceError):
-        FixpointEngine(COLUMNAR).evaluate(
+        FixpointEngine().evaluate(
             TC, db, COUNTING, max_iterations=6, raise_on_divergence=True
         )
 
 
 def test_ground_forms_interchange_across_strategies():
-    """Either grounding representation feeds any strategy: columnar
-    strategies lower tuple groundings, tuple strategies decode
-    columnar ones."""
+    """Any grounding representation feeds the fixpoint: tuple
+    groundings (the decoded view, the oracle's) are lowered, id-space
+    ones run as they are; the oracle reads the decoded view too."""
     db = random_edge_db(2, 7, 16)
-    ground = relevant_grounding(TC, db, engine="indexed")
     cground = columnar_grounding(TC, db)
-    reference = naive_evaluation(TC, db, BOOLEAN, ground=ground, strategy="naive")
-    for ground_form in (ground, cground):
-        for strategy in STRATEGIES:
-            result = FixpointEngine(strategy).evaluate(
-                TC, db, BOOLEAN, ground=ground_form
-            )
-            assert result.values == reference.values, (strategy, type(ground_form))
-    via_seminaive = seminaive_evaluation(TC, db, BOOLEAN, ground=cground)
-    assert via_seminaive.values == reference.values
+    reference = oracle_evaluation(TC, db, BOOLEAN)
+    assert oracle_evaluation(TC, db, BOOLEAN, ground=cground.to_ground_program()).values == (
+        reference.values
+    )
+    for ground_form in (naive_relevant_grounding(TC, db), relevant_grounding(TC, db), cground):
+        for evaluate in (FixpointEngine().evaluate, naive_evaluation):
+            result = evaluate(TC, db, BOOLEAN, ground=ground_form)
+            assert result.values == reference.values, type(ground_form)
+            assert result.rule_evaluations == reference.delta_rule_evaluations
 
 
-# -- the full engine × strategy matrix ------------------------------------
+# -- production vs oracle across workloads ---------------------------------
 
 
 def assert_matrix_agrees(program, db, semiring, weights=None):
-    """Every (grounding engine, fixpoint strategy) pair -- plus the
-    direct columnar_grounding path -- must agree on rule keys and
-    fixpoint values."""
-    reference_ground = relevant_grounding(program, db, engine="naive")
-    reference_keys = reference_ground.rule_keys()
-    assert columnar_grounding(program, db).rule_keys() == reference_keys
-    reference = FixpointEngine("naive", "naive").evaluate(
-        program, db, semiring, weights=weights
-    )
-    for engine in GROUNDING_ENGINES:
-        assert (
-            relevant_grounding(program, db, engine=engine).rule_keys()
-            == reference_keys
-        ), engine
-        for strategy in STRATEGIES:
-            result = FixpointEngine(strategy, engine).evaluate(
-                program, db, semiring, weights=weights
-            )
-            assert result.values == reference.values, (engine, strategy)
-            assert result.iterations == reference.iterations, (engine, strategy)
-            assert result.converged and reference.converged
+    """Both grounding entry points match the oracle's rule keys, and
+    the fixpoint matches the oracle's values, iterations, convergence
+    and rule-evaluation count."""
+    reference_keys = naive_relevant_grounding(program, db).rule_keys()
+    assert relevant_grounding(program, db).rule_keys() == reference_keys
+    result, _ = assert_matches_oracle(program, db, semiring, weights=weights)
+    assert result.converged
 
 
 @given(
@@ -345,17 +327,17 @@ def assert_matrix_agrees(program, db, semiring, weights=None):
 def test_matrix_random_digraph(seed, n, m, seeded_idbs):
     # Grounding equality holds with IDB facts seeded into the input;
     # evaluation runs only without them (a seeded IDB body fact that
-    # no rule derives has no defined fixpoint value -- the tuple
-    # strategies raise on such groundings, a pre-existing contract).
+    # no rule derives has no defined fixpoint value).
     db = random_edge_db(seed, n, m, seeded_idbs)
     if not len(db):
         return
-    reference_keys = relevant_grounding(TC, db, engine="naive").rule_keys()
+    reference_keys = naive_relevant_grounding(TC, db).rule_keys()
     assert columnar_grounding(TC, db).rule_keys() == reference_keys
-    for engine in GROUNDING_ENGINES:
-        assert relevant_grounding(TC, db, engine=engine).rule_keys() == reference_keys
+    assert relevant_grounding(TC, db).rule_keys() == reference_keys
     if seeded_idbs == 0:
         assert_matrix_agrees(TC, db, BOOLEAN)
+        for semiring in (COUNTING, TROPICAL):
+            assert_matches_oracle(TC, db, semiring, weights=extreme_weights(semiring, db, seed))
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 3))
@@ -374,7 +356,7 @@ def test_matrix_same_generation():
 
 def test_matrix_tropical_weights():
     db = random_edge_db(13, 6, 14)
-    assert_matrix_agrees(TC, db, TROPICAL, random_weights(db, seed=13))
+    assert_matrix_agrees(TC, db, TROPICAL, extreme_weights(TROPICAL, db, seed=13))
 
 
 def test_matrix_magic_workload():
@@ -385,16 +367,13 @@ def test_matrix_magic_workload():
 
 def test_magic_grounding_composes_with_columnar():
     graph = random_digraph(14, 24, seed=9)
-    tuple_ground = magic_grounding(TC, 0, graph, engine="naive")
-    cground = magic_grounding(TC, 0, graph, columnar=True)
+    magic = magic_specialize(TC, 0)
+    tuple_ground = naive_relevant_grounding(magic, graph)
+    cground = magic_grounding(TC, 0, graph)
     assert isinstance(cground, ColumnarGroundProgram)
     assert cground.rule_keys() == tuple_ground.rule_keys()
-    a = FixpointEngine(COLUMNAR).evaluate(
-        magic_specialize(TC, 0), graph, BOOLEAN, ground=cground
-    )
-    b = FixpointEngine("seminaive").evaluate(
-        magic_specialize(TC, 0), graph, BOOLEAN, ground=tuple_ground
-    )
+    a = FixpointEngine().evaluate(magic, graph, BOOLEAN, ground=cground)
+    b = oracle_evaluation(magic, graph, BOOLEAN, ground=tuple_ground)
     assert a.values == b.values
 
 
@@ -416,14 +395,15 @@ def test_generic_circuit_columnar_stream_agrees(seed, n, m):
     from repro.constructions import generic_circuit
 
     db = random_edge_db(seed, n, m)
-    weights = random_weights(db, seed=seed)
+    weights = extreme_weights(TROPICAL, db, seed)
     assignment = dict(db.valuation(TROPICAL))
     assignment.update(weights)
-    tuple_circuit = generic_circuit(TC, db, engine="indexed")
-    columnar_circuit = generic_circuit(TC, db, engine="columnar")
-    assert circuit_outputs(tuple_circuit, TROPICAL, assignment) == circuit_outputs(
-        columnar_circuit, TROPICAL, assignment
-    )
+    oracle_ground = naive_relevant_grounding(TC, db)
+    oracle = oracle_evaluation(TC, db, TROPICAL, weights=weights, ground=oracle_ground)
+    expected = [oracle.values[f] for f in oracle_ground.target_facts()]
+    assert circuit_outputs(generic_circuit(TC, db), TROPICAL, assignment) == expected
+    via_oracle_ground = generic_circuit(TC, db, ground=oracle_ground)
+    assert circuit_outputs(via_oracle_ground, TROPICAL, assignment) == expected
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 3))
@@ -433,11 +413,12 @@ def test_fringe_circuit_columnar_stream_agrees(seed, pairs):
 
     db = dyck_db(seed, pairs)
     assignment = dict(db.valuation(BOOLEAN))
-    tuple_circuit = fringe_circuit(DYCK, db, engine="indexed")
-    columnar_circuit = fringe_circuit(DYCK, db, engine="columnar")
-    assert circuit_outputs(tuple_circuit, BOOLEAN, assignment) == circuit_outputs(
-        columnar_circuit, BOOLEAN, assignment
-    )
+    oracle_ground = naive_relevant_grounding(DYCK, db)
+    oracle = oracle_evaluation(DYCK, db, BOOLEAN, ground=oracle_ground)
+    expected = [oracle.values[f] for f in oracle_ground.target_facts()]
+    assert circuit_outputs(fringe_circuit(DYCK, db), BOOLEAN, assignment) == expected
+    via_oracle_ground = fringe_circuit(DYCK, db, ground=oracle_ground)
+    assert circuit_outputs(via_oracle_ground, BOOLEAN, assignment) == expected
 
 
 def test_circuits_accept_explicit_facts_and_precomputed_ground():

@@ -1,4 +1,4 @@
-"""The interned columnar fact store and the ``engine="columnar"`` backend.
+"""The interned columnar fact store and the grounder built on it.
 
 Two layers are pinned here (DESIGN.md §8):
 
@@ -6,12 +6,12 @@ Two layers are pinned here (DESIGN.md §8):
   interning, arity-checked columnar writers, bisect-range pattern
   indexes (hypothesis-checked against a brute-force filter, including
   rows appended *after* an index was built), and delta views;
-* the columnar join engine -- observational equivalence with the
-  indexed and naive engines (identical ``GroundProgram`` as a set of
-  ground rules, identical derivable facts, iteration counts and
-  fixpoint values) on random digraphs, Dyck-1, same-generation and
-  magic-set workloads, plus the probe regression the benchmarks
-  assert.
+* the id-space grounder on top of them -- observational equivalence
+  with the naive oracle of :mod:`repro.testing.oracle` (identical
+  ``GroundProgram`` as a set of ground rules, identical derivable
+  facts, iteration counts and fixpoint values) on random digraphs,
+  Dyck-1, same-generation and magic-set workloads, plus the probe
+  regression the benchmarks assert.
 """
 
 import random
@@ -38,8 +38,15 @@ from repro.datalog import (
     scoped_symbols,
     transitive_closure,
 )
-from repro.semirings import BOOLEAN, TROPICAL
+from repro.semirings import BOOLEAN
+from repro.testing.oracle import (
+    naive_derivable_facts,
+    naive_full_grounding,
+    naive_relevant_grounding,
+    oracle_evaluation,
+)
 from repro.workloads import random_digraph, random_weights
+from tests.oracle_checks import ORACLE_SEMIRINGS, assert_matches_oracle, extreme_weights
 
 TC = transitive_closure()
 
@@ -48,16 +55,13 @@ def rule_set(ground):
     return ground.rule_keys()
 
 
-def assert_engines_agree(program, db):
-    grounds = {
-        engine: relevant_grounding(program, db, engine=engine)
-        for engine in ("naive", "indexed", "columnar")
-    }
-    reference = rule_set(grounds["naive"])
-    for engine, ground in grounds.items():
-        assert rule_set(ground) == reference, engine
-        assert len(ground.rules) == len(set(ground.rules)), engine
-        assert ground.idb_facts == grounds["naive"].idb_facts, engine
+def assert_grounder_matches_oracle(program, db):
+    """The production grounding (decoded view) matches the oracle's."""
+    reference = naive_relevant_grounding(program, db)
+    ground = relevant_grounding(program, db)
+    assert rule_set(ground) == rule_set(reference)
+    assert len(ground.rules) == len(set(ground.rules))
+    assert ground.idb_facts == reference.idb_facts
 
 
 # -- symbol table ---------------------------------------------------------
@@ -128,10 +132,8 @@ def test_mixed_arity_database_grounds_like_the_other_engines():
     db = Database.from_edges([(1, 2), (2, 3)])
     db.add("E", 7, 8, 9)
     db.add("T", 4)
-    assert_engines_agree(TC, db)
-    naive_facts, _ = derivable_facts(TC, db, engine="naive")
-    columnar_facts, _ = derivable_facts(TC, db, engine="columnar")
-    assert naive_facts == columnar_facts
+    assert_grounder_matches_oracle(TC, db)
+    assert naive_derivable_facts(TC, db) == derivable_facts(TC, db)
 
 
 def test_store_contains_and_decode_roundtrip():
@@ -325,7 +327,7 @@ def test_database_materializes_columnar_store_lazily():
     assert fresh.size("E") == 3
 
 
-# -- engine equivalence ---------------------------------------------------
+# -- the grounder against the oracle --------------------------------------
 
 
 def random_edge_db(seed: int, n: int, m: int) -> Database:
@@ -355,7 +357,7 @@ def test_columnar_relevant_grounding_agrees_tc(seed, n, m, seeded_idbs):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             db.add("T", u, v)
-    assert_engines_agree(TC, db)
+    assert_grounder_matches_oracle(TC, db)
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
@@ -373,42 +375,29 @@ def test_columnar_relevant_grounding_agrees_dyck(seed, pairs):
         if u != v:
             edges.append((u, rng.choice(["L", "R"]), v))
     db = Database.from_labeled_edges(edges)
-    assert_engines_agree(dyck1(), db)
+    assert_grounder_matches_oracle(dyck1(), db)
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
 @settings(max_examples=25, deadline=None)
 def test_columnar_derivable_facts_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    columnar_facts, columnar_iters = derivable_facts(TC, db, engine="columnar")
-    assert indexed_facts == columnar_facts
-    assert indexed_iters == columnar_iters
+    assert naive_derivable_facts(TC, db) == derivable_facts(TC, db)
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 5), m=st.integers(3, 7))
 @settings(max_examples=20, deadline=None)
 def test_columnar_full_grounding_agrees(seed, n, m):
     db = random_edge_db(seed, n, m)
-    assert rule_set(full_grounding(TC, db, engine="indexed")) == rule_set(
-        full_grounding(TC, db, engine="columnar")
-    )
+    assert rule_set(naive_full_grounding(TC, db)) == rule_set(full_grounding(TC, db))
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
 @settings(max_examples=20, deadline=None)
 def test_columnar_fixpoint_values_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    rng = random.Random(seed)
-    weights = {fact: float(rng.randint(1, 5)) for fact in db.facts()}
-    via_indexed = FixpointEngine(grounding_engine="indexed").evaluate(
-        TC, db, TROPICAL, weights=weights
-    )
-    via_columnar = FixpointEngine(grounding_engine="columnar").evaluate(
-        TC, db, TROPICAL, weights=weights
-    )
-    assert via_indexed.values == via_columnar.values
-    assert via_indexed.iterations == via_columnar.iterations
+    for semiring in ORACLE_SEMIRINGS:
+        assert_matches_oracle(TC, db, semiring, weights=extreme_weights(semiring, db, seed))
 
 
 def test_columnar_agrees_on_same_generation_and_magic():
@@ -416,30 +405,26 @@ def test_columnar_agrees_on_same_generation_and_magic():
     db = Database()
     for _ in range(12):
         db.add(rng.choice(["Up", "Flat", "Down"]), rng.randrange(6), rng.randrange(6))
-    assert_engines_agree(same_generation(), db)
+    assert_grounder_matches_oracle(same_generation(), db)
 
     graph = random_digraph(14, 24, seed=7)
-    assert rule_set(magic_grounding(TC, 0, graph, engine="naive")) == rule_set(
-        magic_grounding(TC, 0, graph, engine="columnar")
+    assert rule_set(naive_relevant_grounding(magic_specialize(TC, 0), graph)) == rule_set(
+        magic_grounding(TC, 0, graph)
     )
 
 
 def test_columnar_boolean_fixpoint_on_weighted_workload():
     database = random_digraph(20, 60, seed=11)
     weights = random_weights(database, seed=11)
-    a = FixpointEngine(grounding_engine="columnar").evaluate(
-        TC, database, BOOLEAN, weights={f: True for f in weights}
-    )
-    b = FixpointEngine(grounding_engine="naive").evaluate(
-        TC, database, BOOLEAN, weights={f: True for f in weights}
-    )
+    a = FixpointEngine().evaluate(TC, database, BOOLEAN, weights={f: True for f in weights})
+    b = oracle_evaluation(TC, database, BOOLEAN, weights={f: True for f in weights})
     assert a.values == b.values
 
 
 def test_rule_constants_unknown_to_store_never_match_or_intern():
     """A body constant the store has never interned can match no row;
-    the columnar engine must ground identically to naive without
-    growing the shared symbol table (lookups use the non-inserting
+    the grounder must ground identically to the oracle without growing
+    the shared symbol table (lookups use the non-inserting
     SymbolTable.get)."""
     from repro.datalog import GLOBAL_SYMBOLS, parse_program
 
@@ -447,14 +432,14 @@ def test_rule_constants_unknown_to_store_never_match_or_intern():
     db = Database.from_edges([(1, 2), (2, 3)])
     db.columnar_store()  # materialize first so growth isolates the grounder
     before = len(GLOBAL_SYMBOLS)
-    assert len(relevant_grounding(program, db, engine="columnar").rules) == 0
-    assert len(relevant_grounding(program, db, engine="naive").rules) == 0
+    assert len(relevant_grounding(program, db).rules) == 0
     assert len(GLOBAL_SYMBOLS) == before
+    assert len(naive_relevant_grounding(program, db).rules) == 0
     assert GLOBAL_SYMBOLS.get(99) is None
 
-    # ... and when the constant is present, the engines agree as usual.
+    # ... and when the constant is present, grounder and oracle agree.
     db2 = Database.from_edges([(1, 2), (2, 99)])
-    assert_engines_agree(program, db2)
+    assert_grounder_matches_oracle(program, db2)
 
 
 def test_head_constants_chain_into_body_lookups():
@@ -470,8 +455,8 @@ def test_head_constants_chain_into_body_lookups():
         target="Q",
     )
     db = Database.from_edges([(1, 2), (2, 3)])
-    naive_facts, _ = derivable_facts(program, db, engine="naive")
-    columnar_facts, _ = derivable_facts(program, db, engine="columnar")
+    naive_facts, _ = naive_derivable_facts(program, db)
+    columnar_facts, _ = derivable_facts(program, db)
     assert naive_facts == columnar_facts
     assert Fact("Q", (1,)) in columnar_facts
 
@@ -502,7 +487,7 @@ def test_scoped_symbols_keeps_default_table_clean():
         db = Database.from_edges([("scoped-only-u", "scoped-only-v")])
         store = db.columnar_store()
         assert store.symbols is table
-        assert len(relevant_grounding(TC, db, engine="columnar").rules) == 1
+        assert len(relevant_grounding(TC, db).rules) == 1
         assert len(columnar_grounding(TC, db)) == 1
         assert len(table) > 0
     assert default_symbols() is outer
@@ -537,16 +522,16 @@ def test_columnar_store_private_symbol_table_sticks():
     assert store.symbols is table and len(table) == 2
     assert GLOBAL_SYMBOLS.get("private-only-u") is None
     # The table sticks: later no-arg materializations (what the
-    # columnar grounding engine triggers internally) reuse it, across
+    # grounder triggers internally) reuse it, across
     # cache invalidations too.
     assert db.columnar_store(symbols=table) is store
     assert db.columnar_store() is store
     db.add("E", "private-only-u", "private-only-w")
     assert db.columnar_store().symbols is table
     assert GLOBAL_SYMBOLS.get("private-only-w") is None
-    ground = relevant_grounding(TC, db, engine="columnar")
+    ground = relevant_grounding(TC, db)
     assert len(ground.rules) > 0
-    assert GLOBAL_SYMBOLS.get("private-only-u") is None  # engine stayed scoped
+    assert GLOBAL_SYMBOLS.get("private-only-u") is None  # grounding stayed scoped
 
 
 # -- probe regression -----------------------------------------------------
@@ -554,26 +539,21 @@ def test_columnar_store_private_symbol_table_sticks():
 
 def test_columnar_probes_halved_vs_naive_on_tc():
     db = random_digraph(24, 72, seed=5)
-    naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
-    )
-    columnar_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="columnar")
-    )
+    naive_probes, _ = count_join_probes(lambda: naive_relevant_grounding(TC, db))
+    columnar_probes, _ = count_join_probes(lambda: relevant_grounding(TC, db))
     assert columnar_probes > 0
     assert naive_probes >= 2 * columnar_probes, (naive_probes, columnar_probes)
 
 
 def test_columnar_probes_match_indexed_on_magic_chain():
-    """Columnar and indexed share selectivity ordering and exact-pattern
-    candidate sets, so their probe counts coincide -- the columnar win
-    is constant-factor (id-space rows, array columns), not probe count."""
+    """The id-space grounder keeps the selectivity ordering and
+    exact-pattern candidate sets of the tuple-space indexed grounder
+    it replaced, so it spends exactly the probes that grounder did on
+    this instance (89) -- its win was constant-factor (id-space rows,
+    array columns), not probe count.  Both entry points run the same
+    pass."""
     db = random_digraph(30, 60, seed=3)
     magic = magic_specialize(TC, 0)
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
-    )
-    columnar_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="columnar")
-    )
-    assert columnar_probes == indexed_probes, (indexed_probes, columnar_probes)
+    tuple_view_probes, _ = count_join_probes(lambda: relevant_grounding(magic, db))
+    columnar_probes, _ = count_join_probes(lambda: magic_grounding(TC, 0, db))
+    assert columnar_probes == tuple_view_probes == 89, (tuple_view_probes, columnar_probes)

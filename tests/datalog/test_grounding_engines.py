@@ -1,11 +1,13 @@
-"""Indexed vs naive grounding engines: equivalence and probe regression.
+"""The production grounder vs the naive oracle: equivalence and probe regression.
 
-The indexed engine (pattern-keyed hash indexes, selectivity-ordered
-bodies, fused semi-naive pass) must be a pure optimization: identical
-:class:`GroundProgram` (as a set of ground rules), identical derivable
-facts and Boolean iteration counts, identical fixpoint values -- with
-measurably fewer join probes.  DESIGN.md §5 describes the design;
-these tests pin its observable contract.
+The production grounder (slot-compiled id-space joins over pattern
+indexes, selectivity-ordered bodies, one fused semi-naive pass) must
+be a pure optimization of the oracle's nested-loop grounder
+(:mod:`repro.testing.oracle`): identical :class:`GroundProgram` (as a
+set of ground rules), identical derivable facts and Boolean iteration
+counts, identical fixpoint values -- with measurably fewer join
+probes.  DESIGN.md §5 describes the design; these tests pin its
+observable contract.
 """
 
 import random
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionConfig
 from repro.datalog import (
     GROUNDING_STATS,
     Database,
     FixpointEngine,
+    columnar_grounding,
     count_join_probes,
     derivable_facts,
     dyck1,
@@ -30,7 +34,14 @@ from repro.datalog import (
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, TROPICAL
+from repro.testing.oracle import (
+    naive_derivable_facts,
+    naive_full_grounding,
+    naive_relevant_grounding,
+    oracle_evaluation,
+)
 from repro.workloads import random_digraph, random_weights
+from tests.oracle_checks import ORACLE_SEMIRINGS, assert_matches_oracle, extreme_weights
 
 TC = transitive_closure()
 
@@ -49,15 +60,15 @@ def rule_set(ground):
     return ground.rule_keys()
 
 
-def assert_same_ground_program(naive, indexed):
+def assert_same_ground_program(naive, production):
     # Same rules as a set, no duplicates on either side, same head index.
-    assert rule_set(naive) == rule_set(indexed)
-    assert len(naive.rules) == len(indexed.rules)
-    assert naive.idb_facts == indexed.idb_facts
+    assert rule_set(naive) == rule_set(production)
+    assert len(naive.rules) == len(production.rules)
+    assert naive.idb_facts == production.idb_facts
     for fact in naive.idb_facts:
         assert {
             (r.rule_index, r.idb_body, r.edb_body) for r in naive.rules_for(fact)
-        } == {(r.rule_index, r.idb_body, r.edb_body) for r in indexed.rules_for(fact)}
+        } == {(r.rule_index, r.idb_body, r.edb_body) for r in production.rules_for(fact)}
 
 
 # -- equivalence properties (seeded random digraphs) ---------------------
@@ -81,10 +92,7 @@ def test_relevant_grounding_engines_agree_tc(seed, n, m, seeded_idbs):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             db.add("T", u, v)
-    assert_same_ground_program(
-        relevant_grounding(TC, db, engine="naive"),
-        relevant_grounding(TC, db, engine="indexed"),
-    )
+    assert_same_ground_program(naive_relevant_grounding(TC, db), relevant_grounding(TC, db))
 
 
 def test_no_duplicate_rules_with_database_idb_facts():
@@ -93,14 +101,11 @@ def test_no_duplicate_rules_with_database_idb_facts():
     # round 0 and must not be emitted again when T(2,3) enters a delta.
     db = Database.from_edges([(2, 3), (3, 4)])
     db.add("T", 2, 3)
-    naive = relevant_grounding(TC, db, engine="naive")
-    indexed = relevant_grounding(TC, db, engine="indexed")
-    assert len(indexed.rules) == len(set(indexed.rules))
-    assert_same_ground_program(naive, indexed)
-    naive_facts, naive_iters = derivable_facts(TC, db, engine="naive")
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    assert naive_facts == indexed_facts
-    assert naive_iters == indexed_iters
+    naive = naive_relevant_grounding(TC, db)
+    production = relevant_grounding(TC, db)
+    assert len(production.rules) == len(set(production.rules))
+    assert_same_ground_program(naive, production)
+    assert naive_derivable_facts(TC, db) == derivable_facts(TC, db)
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
@@ -121,8 +126,7 @@ def test_relevant_grounding_engines_agree_dyck(seed, pairs):
             edges.append((u, rng.choice(["L", "R"]), v))
     db = Database.from_labeled_edges(edges)
     assert_same_ground_program(
-        relevant_grounding(dyck1(), db, engine="naive"),
-        relevant_grounding(dyck1(), db, engine="indexed"),
+        naive_relevant_grounding(dyck1(), db), relevant_grounding(dyck1(), db)
     )
 
 
@@ -130,36 +134,23 @@ def test_relevant_grounding_engines_agree_dyck(seed, pairs):
 @settings(max_examples=30, deadline=None)
 def test_derivable_facts_engines_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    naive_facts, naive_iters = derivable_facts(TC, db, engine="naive")
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    assert naive_facts == indexed_facts
-    assert naive_iters == indexed_iters
+    assert naive_derivable_facts(TC, db) == derivable_facts(TC, db)
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 5), m=st.integers(3, 7))
 @settings(max_examples=20, deadline=None)
 def test_full_grounding_engines_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    assert_same_ground_program(
-        full_grounding(TC, db, engine="naive"),
-        full_grounding(TC, db, engine="indexed"),
-    )
+    assert_same_ground_program(naive_full_grounding(TC, db), full_grounding(TC, db))
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
 @settings(max_examples=20, deadline=None)
 def test_fixpoint_values_engine_independent(seed, n, m):
     db = random_edge_db(seed, n, m)
-    rng = random.Random(seed)
-    weights = {fact: float(rng.randint(1, 5)) for fact in db.facts()}
-    via_naive = FixpointEngine(grounding_engine="naive").evaluate(
-        TC, db, TROPICAL, weights=weights
-    )
-    via_indexed = FixpointEngine(grounding_engine="indexed").evaluate(
-        TC, db, TROPICAL, weights=weights
-    )
-    assert via_naive.values == via_indexed.values
-    assert via_naive.iterations == via_indexed.iterations
+    for semiring in ORACLE_SEMIRINGS:
+        weights = extreme_weights(semiring, db, seed)
+        assert_matches_oracle(TC, db, semiring, weights=weights)
 
 
 def test_engines_agree_on_same_generation_and_magic():
@@ -170,14 +161,14 @@ def test_engines_agree_on_same_generation_and_magic():
     for _ in range(12):
         db.add(rng.choice(["Up", "Flat", "Down"]), rng.randrange(6), rng.randrange(6))
     assert_same_ground_program(
-        relevant_grounding(same_generation(), db, engine="naive"),
-        relevant_grounding(same_generation(), db, engine="indexed"),
+        naive_relevant_grounding(same_generation(), db),
+        relevant_grounding(same_generation(), db),
     )
 
     graph = random_digraph(14, 24, seed=7)
     assert_same_ground_program(
-        magic_grounding(TC, 0, graph, engine="naive"),
-        magic_grounding(TC, 0, graph, engine="indexed"),
+        naive_relevant_grounding(magic_specialize(TC, 0), graph),
+        magic_grounding(TC, 0, graph).to_ground_program(),
     )
 
 
@@ -185,30 +176,23 @@ def test_engines_agree_on_same_generation_and_magic():
 
 
 def test_join_probes_drop_on_magic_chain_program():
-    """Regression: the indexed engine must cut join probes at least 2×
-    on the magic-set specialized chain program (the Theorem 5.8
-    workload; the probes counter is the metric of DESIGN.md §6)."""
+    """Regression: the production grounder must cut join probes at
+    least 2× against the oracle on the magic-set specialized chain
+    program (the Theorem 5.8 workload; the probes counter is the
+    metric of DESIGN.md §6)."""
     db = random_digraph(30, 60, seed=3)
     magic = magic_specialize(TC, 0)
-    naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="naive")
-    )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
-    )
-    assert indexed_probes > 0
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    naive_probes, _ = count_join_probes(lambda: naive_relevant_grounding(magic, db))
+    production_probes, _ = count_join_probes(lambda: relevant_grounding(magic, db))
+    assert production_probes > 0
+    assert naive_probes >= 2 * production_probes, (naive_probes, production_probes)
 
 
 def test_join_probes_drop_on_tc():
     db = random_digraph(24, 72, seed=5)
-    naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
-    )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="indexed")
-    )
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    naive_probes, _ = count_join_probes(lambda: naive_relevant_grounding(TC, db))
+    production_probes, _ = count_join_probes(lambda: relevant_grounding(TC, db))
+    assert naive_probes >= 2 * production_probes, (naive_probes, production_probes)
 
 
 def test_grounding_stats_counts_ground_rules():
@@ -238,22 +222,18 @@ def test_count_join_probes_does_not_touch_the_global_accumulator():
 
 def test_count_join_probes_nested_captures_stay_separate():
     db = random_digraph(10, 20, seed=1)
-    solo_indexed, _ = count_join_probes(lambda: relevant_grounding(TC, db))
-    solo_naive, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
-    )
-    assert solo_naive > solo_indexed
+    solo_production, _ = count_join_probes(lambda: relevant_grounding(TC, db))
+    solo_naive, _ = count_join_probes(lambda: naive_relevant_grounding(TC, db))
+    assert solo_naive > solo_production
 
     def outer():
-        inner, _ = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="naive")
-        )
+        inner, _ = count_join_probes(lambda: naive_relevant_grounding(TC, db))
         relevant_grounding(TC, db)
         return inner
 
     outer_probes, inner_probes = count_join_probes(outer)
     # The nested (naive, larger) capture stays out of the outer count.
-    assert outer_probes == solo_indexed
+    assert outer_probes == solo_production
     assert inner_probes == solo_naive
 
 
@@ -288,36 +268,42 @@ def test_count_join_probes_concurrent_runs_do_not_pollute_each_other():
     assert results["big"] == [solo_big] * 4
 
 
-# -- knob validation ------------------------------------------------------
+# -- the removed engine knob ----------------------------------------------
 
 
 def test_unknown_engine_rejected():
+    # There is one grounder: every former engine spelling fails loudly.
     db = Database.from_edges([(0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         relevant_grounding(TC, db, engine="btree")
-    with pytest.raises(ValueError):
-        derivable_facts(TC, db, engine="btree")
-    with pytest.raises(ValueError):
-        full_grounding(TC, db, engine="btree")
-    with pytest.raises(ValueError):
-        FixpointEngine(grounding_engine="btree")
+    with pytest.raises(TypeError):
+        derivable_facts(TC, db, engine="indexed")
+    with pytest.raises(TypeError):
+        full_grounding(TC, db, engine="naive")
+    with pytest.raises(TypeError):
+        FixpointEngine(engine="columnar")
+    with pytest.raises(TypeError):
+        ExecutionConfig(engine="indexed")
 
 
 def test_engine_none_resolves_to_default():
+    # With no engine to pick, every grounding entry point is the one
+    # production pass, and the fixpoint over it matches the oracle.
     db = Database.from_edges([(0, 1), (1, 2)])
     assert_same_ground_program(
-        relevant_grounding(TC, db),
-        relevant_grounding(TC, db, engine=None),
+        columnar_grounding(TC, db).to_ground_program(), relevant_grounding(TC, db)
     )
-    result = naive_evaluation(TC, db, BOOLEAN, grounding_engine="naive")
-    assert result.values == naive_evaluation(TC, db, BOOLEAN).values
+    assert naive_evaluation(TC, db, BOOLEAN).values == oracle_evaluation(TC, db, BOOLEAN).values
 
 
 def test_weighted_evaluation_matches_across_engines_at_scale():
+    # The production fixpoint over either grounding -- its own, or the
+    # oracle's lowered into id space -- matches the oracle's values.
     database = random_digraph(20, 60, seed=11)
     weights = random_weights(database, seed=11)
-    naive_ground = relevant_grounding(TC, database, engine="naive")
-    indexed_ground = relevant_grounding(TC, database, engine="indexed")
+    naive_ground = naive_relevant_grounding(TC, database)
+    want = oracle_evaluation(TC, database, TROPICAL, weights=weights, ground=naive_ground)
     a = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=naive_ground)
-    b = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=indexed_ground)
-    assert a.values == b.values
+    b = naive_evaluation(TC, database, TROPICAL, weights=weights)
+    assert a.values == b.values == want.values
+    assert a.rule_evaluations == b.rule_evaluations == want.delta_rule_evaluations

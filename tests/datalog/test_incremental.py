@@ -17,14 +17,13 @@ Three layers:
   BOOLEAN/COUNTING on an unweighted database and TROPICAL/COUNTING on
   an integer-weighted one (integer weights keep both semirings'
   arithmetic exact, so ``==`` is the right comparison), with a sampled
-  query rule sweeping the whole grounding-engine × fixpoint-strategy
-  matrix;
+  query rule checking the production fixpoint and the naive oracle;
 * metamorphic insert-then-retract tests: applying a batch of inserts
   and then retracting it (in reverse or shuffled order) must restore
   the *exact* prior state -- values, iterations, rule evaluations,
   ground-rule keys, per-fact support counts, symbol-table length and
-  pattern-index row accounting all come back, on both the tuple and
-  columnar fixpoint pipelines;
+  pattern-index row accounting all come back, and the production
+  fixpoint sees the restored database identically;
 * targeted edge cases: cold start from an empty database, cyclic
   programs whose capped (diverged) state must self-heal through the
   full-kernel refresh path, the IDB-write guard, and listener
@@ -39,7 +38,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import pytest
 
-from repro.config import GROUNDING_ENGINES, FIXPOINT_STRATEGIES
 from repro.datalog import (
     Database,
     DatalogError,
@@ -51,9 +49,10 @@ from repro.datalog import (
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from repro.testing.oracle import oracle_evaluation
 
 TC = transitive_closure()
-COLUMNAR_ENGINE = FixpointEngine("columnar", "columnar")
+COLUMNAR_ENGINE = FixpointEngine()
 
 #: DAG edge universe: u < v over six vertices, so every stream state
 #: converges and integer tropical/counting arithmetic stays exact.
@@ -123,21 +122,19 @@ class StreamMachine(RuleBasedStateMachine):
 
     @rule()
     def query_matrix(self):
-        """Every grounding-engine × strategy pipeline agrees with the
+        """The production fixpoint and the naive oracle agree with the
         maintained state (the derivable set and all three semirings)."""
         wdb, pdb = weighted_replay(self.live), plain_replay(self.live)
         expect_bool = nonzero(BOOLEAN, self.pfix.values(BOOLEAN))
         expect_trop = nonzero(TROPICAL, self.wfix.values(TROPICAL))
         expect_count = nonzero(COUNTING, self.wfix.values(COUNTING))
-        for engine in GROUNDING_ENGINES:
-            for strategy in FIXPOINT_STRATEGIES:
-                pipeline = FixpointEngine(strategy, engine)
-                got = pipeline.evaluate(TC, pdb, BOOLEAN)
-                assert nonzero(BOOLEAN, got.values) == expect_bool
-                got = pipeline.evaluate(TC, wdb, TROPICAL)
-                assert nonzero(TROPICAL, got.values) == expect_trop
-                got = pipeline.evaluate(TC, wdb, COUNTING)
-                assert nonzero(COUNTING, got.values) == expect_count
+        for evaluate in (COLUMNAR_ENGINE.evaluate, oracle_evaluation):
+            got = evaluate(TC, pdb, BOOLEAN)
+            assert nonzero(BOOLEAN, got.values) == expect_bool
+            got = evaluate(TC, wdb, TROPICAL)
+            assert nonzero(TROPICAL, got.values) == expect_trop
+            got = evaluate(TC, wdb, COUNTING)
+            assert nonzero(COUNTING, got.values) == expect_count
 
     @invariant()
     def matches_recompute(self):
@@ -225,10 +222,9 @@ def test_insert_then_retract_restores_state(order):
     assert after == before
     assert_indexes_consistent(fix)
 
-    # Both fixpoint pipelines see the restored database identically.
-    for strategy in ("seminaive", "columnar"):
-        engine = FixpointEngine(strategy, "columnar")
-        result = engine.evaluate(TC, database, TROPICAL)
+    # A fresh fixpoint and the oracle see the restored database identically.
+    for evaluate in (COLUMNAR_ENGINE.evaluate, oracle_evaluation):
+        result = evaluate(TC, database, TROPICAL)
         assert result.values == before["values"]["tropical"]
 
 

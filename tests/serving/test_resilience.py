@@ -191,6 +191,23 @@ def test_idle_keep_alive_connection_is_closed_silently():
     run(with_server(scenario, resilience=ResilienceConfig(header_timeout=0.05)))
 
 
+def test_client_reconnects_after_server_reaps_idle_keep_alive():
+    """A kept-alive connection the server closed at its header deadline
+    must not fail the next request: the client sees the EOF and
+    reconnects instead of writing into the dead socket (no retries to
+    paper over it)."""
+
+    async def scenario(host, port, client):
+        reg = await client.register(TC, EDGES, "T(0,4)", target="T")
+        async with CircuitClient(host, port, retry=None) as bare:
+            assert (await bare.healthz())["status"] == "ok"
+            await asyncio.sleep(0.3)  # the server reaps the idle connection
+            report = await bare.facts(reg["key"], insert=["E(3,4)"])
+        assert report["inserted"] == 1
+
+    run(with_server(scenario, resilience=ResilienceConfig(header_timeout=0.05)))
+
+
 def test_handler_deadline_maps_to_504():
     injector = FaultInjector(seed=3, rates={HANDLER_STALL: 1.0}, delays={HANDLER_STALL: 5.0})
 

@@ -222,6 +222,27 @@ def test_solve_route_matches_fixpoint_semantics():
     run(with_server(scenario))
 
 
+def test_removed_engine_and_strategy_fields_get_400():
+    """Grounding and the fixpoint run one pipeline: a body naming the
+    removed ``engine``/``strategy`` knobs is refused, naming the field,
+    instead of being answered some other way than it asked for."""
+
+    async def scenario(host, port, client):
+        body = {"program": TC, "target": "T", "facts": EDGES}
+        for route, extra in (("/solve", {}), ("/circuits", {"output": "T(0,3)"})):
+            for field, value in (("engine", "indexed"), ("strategy", "naive")):
+                status, payload = await client.request(
+                    "POST", route, {**body, **extra, field: value}
+                )
+                assert status == 400, (route, field)
+                assert repr(field) in payload["error"], payload
+        # The connection survives the application-level 400s.
+        result = await client.solve(TC, ["E(0,1)"], "boolean", target="T")
+        assert result["values"] == {"T(0,1)": True}
+
+    run(with_server(scenario))
+
+
 def test_solve_reports_divergence_as_422():
     async def scenario(host, port, client):
         status, payload = await client.request(
